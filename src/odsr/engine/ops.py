@@ -9,13 +9,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 from .tensor import Tensor, active_tape
 
-# im2col buffers larger than this many elements are processed in row bands.
-_COL_BUDGET = 1 << 24
+# Accumulator elements per column block of a tap-accumulated correlation:
+# the block and one tap's product stay in cache while every tap is added.
+_BLOCK = 1 << 17
+# Per-tap products a transposed conv computes at once: input rows are taken
+# in bands small enough to keep them under this many elements.
+_SCATTER_BUDGET = 1 << 22
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -180,11 +183,13 @@ def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Exact-erf GELU: x * Phi(x)."""
     x = a.data
-    phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out = Tensor((x * phi).astype(x.dtype, copy=False))
+    # numpy float64 scalars are not weakly typed: cast them so that float32
+    # activations are not promoted to float64.
+    phi = 0.5 * (1.0 + erf(x * x.dtype.type(_INV_SQRT2)))
+    out = Tensor(x * phi)
 
     def vjp(g):
-        dens = np.exp(-0.5 * x * x) * _INV_SQRT2PI
+        dens = np.exp(-0.5 * x * x) * x.dtype.type(_INV_SQRT2PI)
         return ((g * (phi + x * dens)).astype(x.dtype, copy=False),)
 
     return _record((a,), out, vjp)
@@ -229,84 +234,132 @@ class ConvParams:
         return self.weight.shape[2], self.weight.shape[3]
 
 
-def _corr2d(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
-            groups: int) -> np.ndarray:
-    """Grouped strided cross-correlation, NCHW x [oc, ic/g, kh, kw]."""
-    n, ci, h, wd = x.shape
-    co, cig, kh, kw = w.shape
-    s, p, g = stride, padding, groups
+def _geometry(h: int, w: int, kh: int, kw: int, s: int, p: int):
+    """Output size and the per-phase plane size the taps read from."""
     oh = (h + 2 * p - kh) // s + 1
-    ow = (wd + 2 * p - kw) // s + 1
+    ow = (w + 2 * p - kw) // s + 1
     if oh < 1 or ow < 1:
         raise ValueError(
-            f"kernel {kh}x{kw} does not fit input {h}x{wd} with padding {p}")
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-    out = np.empty((n, co, oh, ow), dtype=x.dtype)
-    band = max(1, min(oh, _COL_BUDGET // max(1, n * ow * ci * kh * kw)))
-    wm = w.reshape(g, co // g, cig * kh * kw)
-    for r0 in range(0, oh, band):
-        r1 = min(r0 + band, oh)
-        rows = xp[:, :, r0 * s:(r1 - 1) * s + kh, :]
-        win = sliding_window_view(rows, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
-        win = win.reshape(n, g, cig, r1 - r0, ow, kh, kw)
-        cols = win.transpose(1, 0, 3, 4, 2, 5, 6).reshape(
-            g, n * (r1 - r0) * ow, cig * kh * kw)
-        prod = cols @ wm.transpose(0, 2, 1)
-        out[:, :, r0:r1, :] = prod.reshape(
-            g, n, r1 - r0, ow, co // g).transpose(1, 0, 4, 2, 3).reshape(
-            n, co, r1 - r0, ow)
-    return out
+            f"kernel {kh}x{kw} does not fit input {h}x{w} with padding {p}")
+    return oh, ow, oh + -(-kh // s) - 1, ow + -(-kw // s) - 1
 
 
-def _corr2d_wgrad(x: np.ndarray, gout: np.ndarray, kh: int, kw: int,
-                  stride: int, padding: int, groups: int) -> np.ndarray:
+def _phases(x: np.ndarray, s: int, p: int, hq: int, wq: int) -> np.ndarray:
+    """Zero-padded ``x`` split into stride phases, channels first.
+
+    Returns [s, s, ci, n*hq*wq]: phase (a, b) holds padded pixel
+    (r*s + a, q*s + b) at (image, r, q), so the stride-s correlation becomes
+    s*s stride-1 ones, and tap (i, j) reads phase (i % s, j % s) at flat
+    offset (i // s) * wq + j // s.
+    """
+    n, ci, h, w = x.shape
+    buf = np.zeros((s, s, ci, n, hq, wq), dtype=x.dtype)
+    xt = x.transpose(1, 0, 2, 3)
+    for a in range(s):
+        r0 = max(0, -((a - p) // s))  # first phase row inside the image
+        rows = xt[:, :, r0 * s + a - p::s][:, :, :hq - r0]
+        for b in range(s):
+            q0 = max(0, -((b - p) // s))
+            blk = rows[..., q0 * s + b - p::s][..., :wq - q0]
+            buf[a, b, :, :, r0:r0 + blk.shape[2], q0:q0 + blk.shape[3]] = blk
+    return buf.reshape(s, s, ci, n * hq * wq)
+
+
+def _corr(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
+          groups: int) -> np.ndarray:
+    """Grouped strided cross-correlation, NCHW x [oc, ic/g, kh, kw].
+
+    Tap accumulation: out += W[:, :, i, j] @ (input shifted by tap (i, j))
+    over a flat channels-first buffer, one column block at a time so the
+    accumulator stays in cache; no im2col buffer.  Depthwise groups (one
+    input channel each) use a broadcast multiply in place of the matmul.
+    """
+    n, ci, h, wd = x.shape
+    co, cig, kh, kw = w.shape
+    s, g = stride, groups
+    oh, ow, hq, wq = _geometry(h, wd, kh, kw, s, padding)
+    dtype = np.result_type(x, w)
+    if kh == kw == 1 and s == 1 and padding == 0 and g == 1:
+        out = np.empty((n, co, h, wd), dtype=dtype)
+        np.matmul(w.reshape(co, ci), x.reshape(n, ci, h * wd),
+                  out=out.reshape(n, co, h * wd))
+        return out
+    flat = _phases(x, s, padding, hq, wq).reshape(s, s, g, cig, -1)
+    wt = np.ascontiguousarray(
+        w.reshape(g, co // g, cig, kh, kw).transpose(3, 4, 0, 1, 2))
+    product = np.multiply if cig == 1 else np.matmul
+    acc = np.empty((g, co // g, n * hq * wq), dtype=dtype)
+    length = (n - 1) * hq * wq + (oh - 1) * wq + ow
+    block = min(length, max(1, _BLOCK // co))
+    tmp = np.empty((g, co // g, block), dtype=dtype)
+    for c0 in range(0, length, block):
+        c1 = min(c0 + block, length)
+        part, prod = acc[:, :, c0:c1], tmp[:, :, :c1 - c0]
+        for t, (i, j) in enumerate(np.ndindex(kh, kw)):
+            off = c0 + (i // s) * wq + j // s
+            src = flat[i % s, j % s, :, :, off:off + c1 - c0]
+            if t == 0:
+                product(wt[i, j], src, out=part)
+            else:
+                product(wt[i, j], src, out=prod)
+                part += prod
+    return acc.reshape(co, n, hq, wq)[:, :, :oh, :ow].transpose(
+        1, 0, 2, 3).copy()
+
+
+def _corr_wgrad(x: np.ndarray, gout: np.ndarray, kh: int, kw: int,
+                stride: int, padding: int, groups: int) -> np.ndarray:
+    """Weight gradient of :func:`_corr`: one shifted matmul per tap."""
     n, ci, h, wd = x.shape
     _, co, oh, ow = gout.shape
+    s, g = stride, groups
+    cig = ci // g
+    _, _, hq, wq = _geometry(h, wd, kh, kw, s, padding)
+    flat = _phases(x, s, padding, hq, wq).reshape(s, s, g, cig, -1)
+    gz = np.zeros((co, n, hq, wq), dtype=gout.dtype)
+    gz[:, :, :oh, :ow] = gout.transpose(1, 0, 2, 3)
+    length = (n - 1) * hq * wq + (oh - 1) * wq + ow
+    gm = gz.reshape(g, co // g, -1)[:, :, :length]
+    gw = np.empty((kh, kw, g, co // g, cig), dtype=np.result_type(x, gout))
+    for i, j in np.ndindex(kh, kw):
+        off = (i // s) * wq + j // s
+        src = flat[i % s, j % s, :, :, off:off + length]
+        np.matmul(gm, src.transpose(0, 2, 1), out=gw[i, j])
+    return np.ascontiguousarray(
+        gw.reshape(kh, kw, co, cig).transpose(2, 3, 0, 1))
+
+
+def _scatter(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
+             out_hw: tuple[int, int], groups: int) -> np.ndarray:
+    """Transposed correlation (adjoint of :func:`_corr`), col2im style.
+
+    x [n, ci, h, w], w [ci, co/g, kh, kw] -> [n, co, out_hw].  One matmul
+    per band of input rows gives every tap's contribution per input pixel,
+    one strided add per tap places it on the stride grid, and a crop removes
+    the padding: no zero-dilated input, so no multiplies by inserted zeros.
+    """
+    n, ci, h, wd = x.shape
+    _, cog, kh, kw = w.shape
     s, p, g = stride, padding, groups
     cig = ci // g
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-    xp = xp[:, :, :(oh - 1) * s + kh, :(ow - 1) * s + kw]
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
-    win = win.reshape(n, g, cig, oh, ow, kh, kw)
-    cols = win.transpose(1, 0, 3, 4, 2, 5, 6).reshape(
-        g, n * oh * ow, cig * kh * kw)
-    gm = gout.reshape(n, g, co // g, oh, ow).transpose(1, 0, 3, 4, 2).reshape(
-        g, n * oh * ow, co // g)
-    wg = gm.transpose(0, 2, 1) @ cols
-    return np.ascontiguousarray(wg.reshape(co, cig, kh, kw))
-
-
-def _swap_flip(w: np.ndarray, groups: int) -> np.ndarray:
-    """Per-group swap of in/out channel roles plus spatial flip."""
-    co, cig, kh, kw = w.shape
-    g = groups
-    wg = w.reshape(g, co // g, cig, kh, kw)
-    return np.ascontiguousarray(
-        wg.transpose(0, 2, 1, 3, 4).reshape(g * cig, co // g, kh, kw)
-        [:, :, ::-1, ::-1])
-
-
-def _corr2d_xgrad(gout: np.ndarray, w: np.ndarray, stride: int, padding: int,
-                  in_hw: tuple[int, int], groups: int) -> np.ndarray:
-    n, co, oh, ow = gout.shape
-    h, wd = in_hw
-    _, cig, kh, kw = w.shape
-    s, p = stride, padding
-    if kh - 1 - p < 0 or kw - 1 - p < 0:
-        raise ValueError(f"padding {p} larger than kernel-1 is unsupported")
-    if s > 1:
-        gd = np.zeros((n, co, (oh - 1) * s + 1, (ow - 1) * s + 1),
-                      dtype=gout.dtype)
-        gd[:, :, ::s, ::s] = gout
-    else:
-        gd = gout
-    extra_h = h + 2 * p - kh - (oh - 1) * s
-    extra_w = wd + 2 * p - kw - (ow - 1) * s
-    gp = np.pad(gd, ((0, 0), (0, 0),
-                     (kh - 1 - p, kh - 1 - p + extra_h),
-                     (kw - 1 - p, kw - 1 - p + extra_w)))
-    return _corr2d(gp, _swap_flip(w, groups), stride=1, padding=0,
-                   groups=groups)
+    oh, ow = out_hw
+    full = np.zeros((g, cog, n, max((h - 1) * s + kh, p + oh),
+                     max((wd - 1) * s + kw, p + ow)),
+                    dtype=np.result_type(x, w))
+    xm = x.transpose(1, 0, 2, 3).reshape(g, cig, n, h, wd)
+    wm = np.ascontiguousarray(w.reshape(g, cig, cog, kh * kw).transpose(
+        0, 3, 2, 1)).reshape(g, kh * kw * cog, cig)
+    product = np.multiply if cig == 1 else np.matmul
+    band = max(1, _SCATTER_BUDGET // (kh * kw * cog * g * n * wd))
+    for r0 in range(0, h, band):
+        r1 = min(r0 + band, h)
+        taps = product(wm, xm[:, :, :, r0:r1].reshape(g, cig, -1)).reshape(
+            g, kh, kw, cog, n, r1 - r0, wd)
+        for i, j in np.ndindex(kh, kw):
+            full[:, :, :, r0 * s + i:(r1 - 1) * s + i + 1:s,
+                 j:j + (wd - 1) * s + 1:s] += taps[:, i, j]
+    out = full.reshape(g * cog, n, *full.shape[3:])[:, :, p:p + oh, p:p + ow]
+    return out.transpose(1, 0, 2, 3).copy()
 
 
 def conv2d(x: Tensor, p: ConvParams) -> Tensor:
@@ -317,17 +370,16 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
         raise ValueError(
             f"input has {x.shape[1]} channels, ConvParams expects {p.in_ch}")
     w, b = p.weight, p.bias
-    val = _corr2d(x.data, w.data, p.stride, p.padding, p.groups)
+    val = _corr(x.data, w.data, p.stride, p.padding, p.groups)
     if b is not None:
-        val = val + b.data[None, :, None, None]
+        val += b.data[None, :, None, None]
     out = Tensor(val)
     inputs = (x, w) if b is None else (x, w, b)
 
     def vjp(g):
-        gx = _corr2d_xgrad(g, w.data, p.stride, p.padding, x.shape[2:],
-                           p.groups)
-        gw = _corr2d_wgrad(x.data, g, w.shape[2], w.shape[3], p.stride,
-                           p.padding, p.groups)
+        gx = _scatter(g, w.data, p.stride, p.padding, x.shape[2:], p.groups)
+        gw = _corr_wgrad(x.data, g, w.shape[2], w.shape[3], p.stride,
+                         p.padding, p.groups)
         if b is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))
@@ -346,41 +398,28 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     """
     if x.ndim != 4:
         raise ValueError(f"input must be NCHW, got shape {x.shape}")
-    ci, co, kh, kw = weight.shape
+    ci, _, kh, kw = weight.shape
     if x.shape[1] != ci:
         raise ValueError(
             f"input has {x.shape[1]} channels, weight expects {ci}")
     s, p, op = stride, padding, output_padding
     if not 0 <= op < max(s, 1):
         raise ValueError(f"output_padding {op} must be in [0, stride)")
-    n, _, h, wd = x.shape
-    if (h - 1) * s - 2 * p + kh + op < 1 or (wd - 1) * s - 2 * p + kw + op < 1:
+    h, wd = x.shape[2:]
+    out_hw = ((h - 1) * s - 2 * p + kh + op, (wd - 1) * s - 2 * p + kw + op)
+    if min(out_hw) < 1:
         raise ValueError("transposed conv output would be empty")
     if kh - 1 - p < 0 or kw - 1 - p < 0:
         raise ValueError(f"padding {p} larger than kernel-1 is unsupported")
-    if s > 1:
-        xd = np.zeros((n, ci, (h - 1) * s + 1, (wd - 1) * s + 1),
-                      dtype=x.data.dtype)
-        xd[:, :, ::s, ::s] = x.data
-    else:
-        xd = x.data
-    xp = np.pad(xd, ((0, 0), (0, 0),
-                     (kh - 1 - p, kh - 1 - p + op),
-                     (kw - 1 - p, kw - 1 - p + op)))
-    wf = np.ascontiguousarray(
-        weight.data.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-    val = _corr2d(xp, wf, stride=1, padding=0, groups=1)
+    val = _scatter(x.data, weight.data, s, p, out_hw, 1)
     if bias is not None:
-        val = val + bias.data[None, :, None, None]
+        val += bias.data[None, :, None, None]
     out = Tensor(val)
     inputs = (x, weight) if bias is None else (x, weight, bias)
 
     def vjp(g):
-        gp = np.pad(g, ((0, 0), (0, 0), (p, p), (p, p))) if p else g
-        gx = _corr2d(gp, weight.data, stride=s, padding=0, groups=1)
-        gx = gx[:, :, :h, :wd]
-        gw = _corr2d_wgrad(gp, x.data, kh, kw, stride=s, padding=0, groups=1)
-        gw = gw.reshape(ci, co, kh, kw)
+        gx = _corr(g, weight.data, s, p, 1)
+        gw = _corr_wgrad(g, x.data, kh, kw, s, p, 1)
         if bias is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))

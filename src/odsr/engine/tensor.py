@@ -77,30 +77,6 @@ class Tensor:
     # that recording goes through the single op layer.
 
 
-def flat_index(dims: Sequence[int], idx: Sequence[int]) -> int:
-    """Row-major flat offset of a multi-index (validates bounds)."""
-    if len(dims) != len(idx):
-        raise ValueError(f"rank mismatch: dims {dims} vs index {idx}")
-    flat = 0
-    for d, i in zip(dims, idx):
-        if not 0 <= i < d:
-            raise ValueError(f"index {idx} out of bounds for dims {dims}")
-        flat = flat * d + i
-    return flat
-
-
-def unflat_index(dims: Sequence[int], flat: int) -> tuple[int, ...]:
-    """Inverse of :func:`flat_index`."""
-    total = int(np.prod(dims)) if dims else 1
-    if not 0 <= flat < total:
-        raise ValueError(f"flat index {flat} out of bounds for dims {dims}")
-    out = []
-    for d in reversed(dims):
-        out.append(flat % d)
-        flat //= d
-    return tuple(reversed(out))
-
-
 class Node:
     """One recorded op: its input tensors and a VJP callback.
 

@@ -241,7 +241,10 @@ def read_y4m(blob: bytes) -> VideoSequence:
             height = int(val)
         elif tag == b"F":
             num, _, den = val.partition(":")
-            fps = Fraction(int(num), int(den))
+            try:
+                fps = Fraction(int(num), int(den))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"bad Y4M frame rate tag F{val}") from None
         elif tag == b"C":
             if val not in _C420_TAGS:
                 raise ValueError(

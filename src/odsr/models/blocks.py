@@ -67,7 +67,7 @@ def _layers_specs(layers, c: int, path: str) -> tuple[list[ParamSpec], int]:
     return specs, c
 
 
-def _layers_flops(layers, s: Shape, path_unused: str = "") -> tuple[int, Shape]:
+def _layers_flops(layers, s: Shape) -> tuple[int, Shape]:
     total = 0
     for layer in layers:
         f, s = layer.flops(s)

@@ -1,0 +1,125 @@
+"""im2col reference convolutions, kept only as a test oracle.
+
+The engine's convolutions (``odsr.engine.ops``) accumulate shifted matmuls
+per kernel tap and scatter transposed convolutions col2im-style.  These are
+the earlier im2col formulations they replaced: every window is copied into a
+``sliding_window_view`` column buffer, processed in row bands of at most
+``COL_BUDGET`` elements, and transposed convolutions zero-dilate and flip.
+Different summation order, same maths; the parity suite compares the two.
+"""
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+# im2col buffers larger than this many elements are processed in row bands.
+COL_BUDGET = 1 << 24
+
+
+def corr2d(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
+           groups: int) -> np.ndarray:
+    """Grouped strided cross-correlation, NCHW x [oc, ic/g, kh, kw]."""
+    n, ci, h, wd = x.shape
+    co, cig, kh, kw = w.shape
+    s, p, g = stride, padding, groups
+    oh = (h + 2 * p - kh) // s + 1
+    ow = (wd + 2 * p - kw) // s + 1
+    if oh < 1 or ow < 1:
+        raise ValueError(
+            f"kernel {kh}x{kw} does not fit input {h}x{wd} with padding {p}")
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    out = np.empty((n, co, oh, ow), dtype=x.dtype)
+    band = max(1, min(oh, COL_BUDGET // max(1, n * ow * ci * kh * kw)))
+    wm = w.reshape(g, co // g, cig * kh * kw)
+    for r0 in range(0, oh, band):
+        r1 = min(r0 + band, oh)
+        rows = xp[:, :, r0 * s:(r1 - 1) * s + kh, :]
+        win = sliding_window_view(rows, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
+        win = win.reshape(n, g, cig, r1 - r0, ow, kh, kw)
+        cols = win.transpose(1, 0, 3, 4, 2, 5, 6).reshape(
+            g, n * (r1 - r0) * ow, cig * kh * kw)
+        prod = cols @ wm.transpose(0, 2, 1)
+        out[:, :, r0:r1, :] = prod.reshape(
+            g, n, r1 - r0, ow, co // g).transpose(1, 0, 4, 2, 3).reshape(
+            n, co, r1 - r0, ow)
+    return out
+
+
+def corr2d_wgrad(x: np.ndarray, gout: np.ndarray, kh: int, kw: int,
+                 stride: int, padding: int, groups: int) -> np.ndarray:
+    n, ci, h, wd = x.shape
+    _, co, oh, ow = gout.shape
+    s, p, g = stride, padding, groups
+    cig = ci // g
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    xp = xp[:, :, :(oh - 1) * s + kh, :(ow - 1) * s + kw]
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::s, ::s]
+    win = win.reshape(n, g, cig, oh, ow, kh, kw)
+    cols = win.transpose(1, 0, 3, 4, 2, 5, 6).reshape(
+        g, n * oh * ow, cig * kh * kw)
+    gm = gout.reshape(n, g, co // g, oh, ow).transpose(1, 0, 3, 4, 2).reshape(
+        g, n * oh * ow, co // g)
+    wg = gm.transpose(0, 2, 1) @ cols
+    return np.ascontiguousarray(wg.reshape(co, cig, kh, kw))
+
+
+def swap_flip(w: np.ndarray, groups: int) -> np.ndarray:
+    """Per-group swap of in/out channel roles plus spatial flip."""
+    co, cig, kh, kw = w.shape
+    g = groups
+    wg = w.reshape(g, co // g, cig, kh, kw)
+    return np.ascontiguousarray(
+        wg.transpose(0, 2, 1, 3, 4).reshape(g * cig, co // g, kh, kw)
+        [:, :, ::-1, ::-1])
+
+
+def corr2d_xgrad(gout: np.ndarray, w: np.ndarray, stride: int, padding: int,
+                 in_hw: tuple[int, int], groups: int) -> np.ndarray:
+    n, co, oh, ow = gout.shape
+    h, wd = in_hw
+    _, cig, kh, kw = w.shape
+    s, p = stride, padding
+    if kh - 1 - p < 0 or kw - 1 - p < 0:
+        raise ValueError(f"padding {p} larger than kernel-1 is unsupported")
+    if s > 1:
+        gd = np.zeros((n, co, (oh - 1) * s + 1, (ow - 1) * s + 1),
+                      dtype=gout.dtype)
+        gd[:, :, ::s, ::s] = gout
+    else:
+        gd = gout
+    extra_h = h + 2 * p - kh - (oh - 1) * s
+    extra_w = wd + 2 * p - kw - (ow - 1) * s
+    gp = np.pad(gd, ((0, 0), (0, 0),
+                     (kh - 1 - p, kh - 1 - p + extra_h),
+                     (kw - 1 - p, kw - 1 - p + extra_w)))
+    return corr2d(gp, swap_flip(w, groups), stride=1, padding=0,
+                  groups=groups)
+
+
+def conv_transpose2d(x: np.ndarray, w: np.ndarray, stride: int,
+                     padding: int, output_padding: int) -> np.ndarray:
+    """Transposed conv by zero-dilation, padding and a flipped correlation."""
+    n, ci, h, wd = x.shape
+    _, co, kh, kw = w.shape
+    s, p, op = stride, padding, output_padding
+    if s > 1:
+        xd = np.zeros((n, ci, (h - 1) * s + 1, (wd - 1) * s + 1),
+                      dtype=x.dtype)
+        xd[:, :, ::s, ::s] = x
+    else:
+        xd = x
+    xp = np.pad(xd, ((0, 0), (0, 0),
+                     (kh - 1 - p, kh - 1 - p + op),
+                     (kw - 1 - p, kw - 1 - p + op)))
+    wf = np.ascontiguousarray(w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+    return corr2d(xp, wf, stride=1, padding=0, groups=1)
+
+
+def conv_transpose2d_grads(x: np.ndarray, w: np.ndarray, gout: np.ndarray,
+                           stride: int, padding: int):
+    """(input gradient, weight gradient) of :func:`conv_transpose2d`."""
+    _, _, h, wd = x.shape
+    ci, co, kh, kw = w.shape
+    p = padding
+    gp = np.pad(gout, ((0, 0), (0, 0), (p, p), (p, p))) if p else gout
+    gx = corr2d(gp, w, stride=stride, padding=0, groups=1)[:, :, :h, :wd]
+    gw = corr2d_wgrad(gp, x, kh, kw, stride=stride, padding=0, groups=1)
+    return gx, gw.reshape(ci, co, kh, kw)

@@ -238,6 +238,15 @@ class TestRunAndMetrics:
                                "--out", str(tmp_path / "o"))
         assert code == 2
 
+    def test_zero_fps_denominator_validation_error(self, capsys, tmp_path):
+        clip = tmp_path / "c.y4m"
+        clip.write_bytes(b"YUV4MPEG2 W4 H2 F30:0\nFRAME\n" + bytes(12))
+        code, _, err = run_cli(capsys, "run", "--model", "bicubic",
+                               "--scale", "2", "--input", str(clip),
+                               "--out", str(tmp_path / "o.y4m"))
+        assert code == 2
+        assert "F30:0" in err
+
 
 class TestTrain:
     def test_synthetic_smoke(self, capsys, tmp_path):

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from scipy.signal import correlate2d
 
+import conv_oracle
 from odsr.engine import ops
 from odsr.engine.tensor import Tape, Tensor, backward
 
@@ -56,6 +57,31 @@ class TestElementwise:
         np.testing.assert_allclose(ops.gelu(Tensor(a)).data, want,
                                    rtol=1e-12, atol=1e-12)
 
+    def test_gelu_float32_stays_float32(self):
+        """No op inside GELU or its VJP computes in float64 (NEP 50)."""
+        seen = []
+
+        class Spy(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+                args = [a.view(np.ndarray) if isinstance(a, Spy) else a
+                        for a in args]
+                res = getattr(ufunc, method)(*args, **kwargs)
+                seen.append((ufunc.__name__, [a.dtype for a in args
+                                              if hasattr(a, "dtype")],
+                             res.dtype))
+                return res.view(Spy)
+
+        x = Tensor(np.zeros(1, np.float32))
+        x.data = rnd(3, 7, seed=7, dtype=np.float32).view(Spy)
+        with Tape() as tape:
+            y = ops.gelu(x)
+        tape.nodes[-1].vjp(np.ones((3, 7), np.float32))
+        assert "erf" in [name for name, _, _ in seen]
+        for name, arg_dtypes, res_dtype in seen:
+            assert res_dtype == np.float32, (name, arg_dtypes)
+            assert all(d == np.float32 for d in arg_dtypes), name
+        assert y.dtype == np.float32
+
 
 class TestConv:
     def test_conv2d_matches_scipy(self):
@@ -102,12 +128,38 @@ class TestConv:
     def test_conv2d_band_chunking_consistent(self, monkeypatch):
         x = rnd(1, 4, 12, 12, seed=15)
         w = rnd(8, 4, 3, 3, seed=16)
+        full = conv_oracle.corr2d(x, w, 1, 1, 1)
+        monkeypatch.setattr(conv_oracle, "COL_BUDGET", 256)
+        banded = conv_oracle.corr2d(x, w, 1, 1, 1)
+        np.testing.assert_array_equal(full, banded)
         p = ops.ConvParams(weight=Tensor(w), bias=None, stride=1,
                            padding=1, groups=1)
-        full = ops.conv2d(Tensor(x), p).data
-        monkeypatch.setattr(ops, "_COL_BUDGET", 256)
-        banded = ops.conv2d(Tensor(x), p).data
-        np.testing.assert_array_equal(full, banded)
+        np.testing.assert_allclose(ops.conv2d(Tensor(x), p).data, full,
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("groups", [1, 2, 4])
+    def test_conv_blocking_consistent(self, monkeypatch, groups):
+        """Column blocks and row bands only split the work."""
+        x = rnd(2, 4, 9, 10, seed=15)
+        w = rnd(8, 4 // groups, 3, 3, seed=16)
+        wt = rnd(4, 3, 5, 5, seed=17)
+
+        def run():
+            with Tape() as tape:
+                y = ops.conv2d(Tensor(x), ops.ConvParams(
+                    weight=Tensor(w), stride=2, padding=1, groups=groups))
+                z = ops.conv_transpose2d(y, Tensor(rnd(8, 3, 5, 5)), None,
+                                         2, 2, 1)
+                t = ops.conv_transpose2d(Tensor(x), Tensor(wt), None, 2, 1)
+                loss = ops.tsum(z) + ops.tsum(t)
+            grads = backward(tape, loss)
+            return [a.data for a in (z, t, *grads.values())]
+
+        whole = run()
+        monkeypatch.setattr(ops, "_BLOCK", 16)
+        monkeypatch.setattr(ops, "_SCATTER_BUDGET", 1)
+        for a, b in zip(run(), whole):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
     def test_conv_transpose_matches_upsample_identity(self):
         x = rnd(1, 2, 5, 5, seed=17)

@@ -116,6 +116,12 @@ class TestY4m:
         with pytest.raises(ValueError):
             media.read_y4m(b"YUV4MPEG2 W4 F30:1\n")
 
+    @pytest.mark.parametrize("tag", ["F30:0", "F30", "Fx:1"])
+    def test_bad_frame_rate_names_tag(self, tag):
+        with pytest.raises(ValueError, match=f"frame rate tag {tag}"):
+            media.read_y4m(f"YUV4MPEG2 W4 H2 {tag}\nFRAME\n".encode()
+                           + bytes(12))
+
     def test_odd_dims_rejected_for_420(self):
         with pytest.raises(ValueError):
             media.read_y4m(b"YUV4MPEG2 W5 H2 F30:1\nFRAME\n" + bytes(15))
