@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import fft2, ifft2
 from scipy.special import erf
 
 from .tensor import Tensor, active_tape
@@ -19,9 +20,23 @@ _BLOCK = 1 << 17
 # Per-tap products a transposed conv computes at once: input rows are taken
 # in bands small enough to keep them under this many elements.
 _SCATTER_BUDGET = 1 << 22
+# Elements per block of the float32 GELU kernel: its four scratch rows stay
+# in cache across the 27 passes of the rational erf.
+_GELU_BLOCK = 1 << 15
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Float32 erf(t) = t * P(t^2) / Q(t^2) on t in [-4, 4] (erf is +-1 in float32
+# beyond), the rational form Eigen and XLA use; max abs error 4.6e-7.  P is
+# pre-scaled by 0.5 (exact in binary) so that P/Q is erf/2.  Highest degree
+# first.
+_ERF_HALF_P = np.float32(0.5) * np.array(
+    [-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+     -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+     -1.60960333262415e-02], dtype=np.float32)
+_ERF_Q = np.array(
+    [-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+     -7.37332916720468e-03, -1.42647390514189e-02], dtype=np.float32)
 
 
 def as_tensor(x) -> Tensor:
@@ -180,15 +195,61 @@ def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
     return _record((a,), out, vjp)
 
 
+def _horner(t2: np.ndarray, coeffs: np.ndarray, out: np.ndarray) -> None:
+    """out = polynomial in ``t2`` (coefficients highest degree first)."""
+    np.multiply(t2, coeffs[0], out=out)
+    out += coeffs[1]
+    for c in coeffs[2:]:
+        out *= t2
+        out += c
+
+
+def _gelu_f32(x: np.ndarray, keep_phi: bool
+              ) -> tuple[np.ndarray, np.ndarray | None]:
+    """(x * Phi(x), Phi(x) or None) of float32 ``x`` with the rational erf.
+
+    Walks the flat array in cache-sized blocks; every pass is an in-place
+    ufunc into scratch rows, so no full-size temporary is made.  Phi is kept
+    at full size only when ``keep_phi`` (a VJP will need it).
+    """
+    flat = x.reshape(-1)
+    out = np.empty_like(flat)
+    t, t2, p, q = (np.empty_like(flat[:_GELU_BLOCK]) for _ in range(4))
+    phi = np.empty_like(flat) if keep_phi else None
+    for c0 in range(0, flat.size, _GELU_BLOCK):
+        c1 = min(c0 + _GELU_BLOCK, flat.size)
+        xb, m = flat[c0:c1], c1 - c0
+        tb, t2b, pb, qb = t[:m], t2[:m], p[:m], q[:m]
+        np.multiply(xb, np.float32(_INV_SQRT2), out=tb)
+        np.clip(tb, -4.0, 4.0, out=tb)
+        np.multiply(tb, tb, out=t2b)
+        _horner(t2b, _ERF_HALF_P, pb)
+        pb *= tb
+        _horner(t2b, _ERF_Q, qb)
+        fb = tb if phi is None else phi[c0:c1]  # t is spent by now
+        np.divide(pb, qb, out=fb)
+        fb += 0.5
+        np.multiply(xb, fb, out=out[c0:c1])
+    return out.reshape(x.shape), None if phi is None else phi.reshape(x.shape)
+
+
 def gelu(a: Tensor) -> Tensor:
-    """Exact-erf GELU: x * Phi(x)."""
+    """Exact-erf GELU: x * Phi(x).
+
+    float32 input uses the blocked rational erf of :func:`_gelu_f32`;
+    float64 input keeps scipy's full-precision erf.
+    """
     x = a.data
-    # numpy float64 scalars are not weakly typed: cast them so that float32
-    # activations are not promoted to float64.
-    phi = 0.5 * (1.0 + erf(x * x.dtype.type(_INV_SQRT2)))
-    out = Tensor(x * phi)
+    if x.dtype == np.float32:
+        val, phi = _gelu_f32(x, keep_phi=active_tape() is not None)
+    else:
+        phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+        val = x * phi
+    out = Tensor(val)
 
     def vjp(g):
+        # numpy float64 scalars are not weakly typed: cast the constant so
+        # that float32 gradients are not promoted to float64.
         dens = np.exp(-0.5 * x * x) * x.dtype.type(_INV_SQRT2PI)
         return ((g * (phi + x * dens)).astype(x.dtype, copy=False),)
 
@@ -586,20 +647,27 @@ def repeat_channels(x: Tensor, times: int) -> Tensor:
 
 # -- spectral ops ---------------------------------------------------------
 
+def _unpack(z: np.ndarray) -> np.ndarray:
+    """Re || Im [n, 2c, h, w] -> complex [n, c, h, w], complex64 if float32."""
+    c = z.shape[1] // 2
+    out = np.empty(z[:, :c].shape, np.result_type(z.dtype, np.complex64))
+    out.real = z[:, :c]
+    out.imag = z[:, c:]
+    return out
+
+
 def fft2_rc(x: Tensor) -> Tensor:
     """2-D FFT of each channel plane, packed as [n, 2c, h, w] = Re || Im."""
     if x.ndim != 4:
         raise ValueError(f"input must be NCHW, got shape {x.shape}")
-    n, c, h, w = x.shape
-    spec = np.fft.fft2(x.data, axes=(2, 3))
-    val = np.concatenate([spec.real, spec.imag], axis=1).astype(
-        x.data.dtype, copy=False)
-    out = Tensor(val)
+    spec = fft2(x.data, axes=(2, 3))
+    out = Tensor(np.concatenate([spec.real, spec.imag], axis=1))
 
     def vjp(g):
-        gc = g[:, :c] + 1j * g[:, c:]
-        gx = np.fft.ifft2(gc, axes=(2, 3)).real * (h * w)
-        return (gx.astype(x.data.dtype, copy=False),)
+        # the adjoint of the unnormalized FFT is the inverse FFT without its
+        # 1/(h*w)
+        gx = ifft2(_unpack(g), axes=(2, 3), norm="forward").real
+        return (gx.astype(x.data.dtype),)
 
     return _record((x,), out, vjp)
 
@@ -608,14 +676,10 @@ def ifft2_rc(z: Tensor) -> Tensor:
     """Real part of the normalized inverse FFT of a packed Re || Im tensor."""
     if z.ndim != 4 or z.shape[1] % 2:
         raise ValueError(f"input must be [n, 2c, h, w], got shape {z.shape}")
-    n, c2, h, w = z.shape
-    c = c2 // 2
-    zc = z.data[:, :c] + 1j * z.data[:, c:]
-    val = np.fft.ifft2(zc, axes=(2, 3)).real.astype(z.data.dtype, copy=False)
-    out = Tensor(val)
+    out = Tensor(ifft2(_unpack(z.data), axes=(2, 3)).real)
 
     def vjp(g):
-        spec = np.fft.fft2(g, axes=(2, 3)) / (h * w)
+        spec = fft2(g, axes=(2, 3), norm="forward")
         gz = np.concatenate([spec.real, spec.imag], axis=1)
         return (gz.astype(z.data.dtype, copy=False),)
 

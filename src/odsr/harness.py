@@ -111,6 +111,14 @@ def run_sequence(model, frames: Iterable[FrameBuffer]
 
 # -- runtime ----------------------------------------------------------------
 
+def _median_cv(seconds) -> tuple[float, float]:
+    """(median, coefficient of variation); the CV of one sample is 0."""
+    mean = statistics.fmean(seconds)
+    cv = (statistics.stdev(seconds) / mean
+          if mean != 0.0 and len(seconds) > 1 else 0.0)
+    return statistics.median(seconds), cv
+
+
 @dataclass(frozen=True)
 class RuntimeSample:
     """Per-repetition forward seconds plus summary statistics."""
@@ -121,15 +129,11 @@ class RuntimeSample:
 
     @property
     def median(self) -> float:
-        return statistics.median(self.seconds)
+        return _median_cv(self.seconds)[0]
 
     @property
     def cv(self) -> float:
-        mean = statistics.fmean(self.seconds)
-        if mean == 0.0:
-            return 0.0
-        return statistics.stdev(self.seconds) / mean \
-            if len(self.seconds) > 1 else 0.0
+        return _median_cv(self.seconds)[1]
 
 
 def summarize_runtime(seconds) -> tuple[float, float]:
@@ -137,8 +141,7 @@ def summarize_runtime(seconds) -> tuple[float, float]:
     seconds = tuple(float(s) for s in seconds)
     if not seconds:
         raise ValueError("no timing samples")
-    sample = RuntimeSample(seconds, (0, 0), (0, 0))
-    return sample.median, sample.cv
+    return _median_cv(seconds)
 
 
 def measure_runtime(model, frame, warmup: int = 5,

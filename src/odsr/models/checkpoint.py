@@ -10,8 +10,9 @@ Layout (all integers little-endian):
             offset u64 into the payload (in bytes)
     payload concatenated float32 little-endian arrays, C order
 
-Readers validate the magic, every table entry, and payload size; truncation
-errors name the byte offset at which data ran out.
+Readers validate the magic, every table entry (names are unique, no dim is
+zero), and payload size; truncation errors name the byte offset at which
+data ran out.
 """
 from __future__ import annotations
 
@@ -70,11 +71,18 @@ def loads_params(blob: bytes) -> tuple[str, int, dict[str, np.ndarray]]:
     name = r.take(nlen, "name").decode("utf-8")
     scale, count = r.unpack("<II", "scale/count")
     table: list[tuple[str, tuple[int, ...], int]] = []
+    seen: set[str] = set()
     for _ in range(count):
         (plen,) = r.unpack("<H", "param name length")
         pname = r.take(plen, "param name").decode("utf-8")
         (ndim,) = r.unpack("<B", f"ndim of {pname}")
         dims = r.unpack(f"<{ndim}I", f"shape of {pname}") if ndim else ()
+        if 0 in dims:
+            raise ValueError(
+                f"parameter {pname!r} has a zero-size dim: shape {dims}")
+        if pname in seen:
+            raise ValueError(f"duplicate parameter name {pname!r}")
+        seen.add(pname)
         (offset,) = r.unpack("<Q", f"offset of {pname}")
         table.append((pname, tuple(dims), offset))
     payload_start = r.off

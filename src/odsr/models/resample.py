@@ -52,18 +52,22 @@ def resize_matrix(src: int, dst: int, kernel: str = "cubic",
     scale = dst / src
     stretch = max(1.0, 1.0 / scale) if antialias else 1.0
     reach = support * stretch
+    center = (np.arange(dst) + 0.5) / scale - 0.5
+    lo = np.floor(center - reach).astype(np.int64) + 1
+    width = np.ceil(center + reach).astype(np.int64) - lo + 1
     mat = np.zeros((dst, src), dtype=np.float64)
-    for i in range(dst):
-        center = (i + 0.5) / scale - 0.5
-        lo = int(np.floor(center - reach)) + 1
-        hi = int(np.ceil(center + reach))
-        taps = np.arange(lo, hi + 1)
-        w = kfun((taps - center) / stretch)
-        total = w.sum()
-        if total == 0.0:
-            raise ValueError(f"degenerate kernel row at output {i}")
-        w = w / total
-        np.add.at(mat[i], np.clip(taps, 0, src - 1), w)
+    # Rows with the same tap count form one 2-D batch, so each row's weight
+    # sum reduces the same values in the same order as a 1-D sum would.
+    for n in np.unique(width):
+        rows = np.flatnonzero(width == n)
+        taps = lo[rows, None] + np.arange(n)
+        w = kfun((taps - center[rows, None]) / stretch)
+        total = w.sum(axis=1, keepdims=True)
+        zero = np.flatnonzero(total == 0.0)
+        if zero.size:
+            raise ValueError(
+                f"degenerate kernel row at output {rows[zero[0]]}")
+        np.add.at(mat, (rows[:, None], np.clip(taps, 0, src - 1)), w / total)
     return mat
 
 

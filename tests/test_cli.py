@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 from odsr import cli, media
+from odsr.engine.tensor import Tensor
+from odsr.models import checkpoint
 
 
 def run_cli(capsys, *argv):
@@ -276,6 +278,24 @@ class TestTrain:
             "--iterations", "2", "--batch", "2", "--patch", "8",
             "--checkpoint", str(ckpt))
         assert code == 0
+
+    @pytest.mark.parametrize("params", [
+        {"w": np.ones((2, 0), np.float32)},
+        {"w": np.ones(2, np.float32), "v": np.ones(2, np.float32)}])
+    def test_malformed_checkpoint_is_validation_error(self, capsys, tmp_path,
+                                                      params):
+        blob = checkpoint.dumps_params(
+            "fsrcnn", 2, {k: Tensor(v) for k, v in params.items()})
+        ckpt = tmp_path / "bad.bin"
+        # rename the one-letter name "v" to "w", making a duplicate
+        ckpt.write_bytes(blob.replace(b"\x01\x00v", b"\x01\x00w"))
+        code, _, err = run_cli(
+            capsys, "train", "--model", "fsrcnn", "--scale", "2",
+            "--frames", "synthetic", "--synthetic-count", "2",
+            "--iterations", "1", "--batch", "2", "--patch", "8",
+            "--checkpoint", str(ckpt))
+        assert code == 2
+        assert "'w'" in err
 
     def test_bad_loss_name(self, capsys):
         code, _, err = run_cli(capsys, "train", "--model", "fsrcnn",

@@ -70,6 +70,12 @@ class TestMeasureRuntime:
         assert med == 0.006
         assert cv > 1.0  # the outlier shows in spread, not location
 
+    def test_summary_helper_agrees_with_sample(self):
+        seconds = (0.005, 0.006, 0.1, 0.004)
+        sample = harness.RuntimeSample(seconds, (1, 1), (2, 2))
+        assert harness.summarize_runtime(seconds) == (sample.median, sample.cv)
+        assert harness.summarize_runtime([0.5]) == (0.5, 0.0)
+
 
 class TestModels:
     def test_registry_contents(self):

@@ -3,8 +3,11 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from odsr.engine.tensor import Tensor
+import resample_oracle
+from odsr import trainer
+from odsr.engine.tensor import Tape, Tensor, backward
 from odsr.models import builders, checkpoint, networks, resample
 
 ANCHORS = (
@@ -103,6 +106,38 @@ class TestFlops:
         assert f2 > f4
 
 
+class TestFloat32Audit:
+    @pytest.mark.parametrize("name", sorted(builders.BUILDERS))
+    def test_forward_and_backward_stay_float32(self, name):
+        """Every tape node's output and every VJP gradient is float32."""
+        spec = builders.build(name, 2)
+        net = networks.Network.init(spec, seed=0)
+        hw = -(-max(spec.min_hw, 8) // spec.hw_multiple) * spec.hw_multiple
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.random((2, 3, hw, hw), dtype=np.float32))
+        target = Tensor(rng.random((2, 3, 2 * hw, 2 * hw), dtype=np.float32))
+        loss_fn = trainer.make_loss(
+            trainer.TrainConfig(loss="charbonnier+fft"))
+        with Tape() as tape:
+            loss = loss_fn(net(x), target, None)
+        grads = []
+
+        def spying(vjp):
+            def wrapped(g):
+                out = vjp(g)
+                grads.extend((g,) + tuple(out))
+                return out
+            return wrapped
+
+        for node in tape.nodes:
+            assert node.out.dtype == np.float32
+            node.vjp = spying(node.vjp)
+        backward(tape, loss)
+        assert len(grads) > len(tape.nodes)
+        dtypes = {a.dtype for a in grads if a is not None}
+        assert dtypes == {np.dtype(np.float32)}
+
+
 class TestCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path):
         net = networks.Network.init(builders.build("athena", 2), seed=3)
@@ -136,8 +171,42 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             checkpoint.load_checkpoint(path, builders.build("fsrcnn", 4))
 
+    def test_duplicate_name_rejected(self):
+        w = Tensor(np.ones((2, 3), np.float32))
+        blob = checkpoint.dumps_params("fsrcnn", 2, {"a": w, "b": w})
+        blob = blob.replace(b"\x01\x00b", b"\x01\x00a")  # rename b -> a
+        with pytest.raises(ValueError, match="duplicate.*'a'"):
+            checkpoint.loads_params(blob)
+
+    def test_zero_size_dim_rejected(self):
+        blob = checkpoint.dumps_params(
+            "fsrcnn", 2, {"head.w": Tensor(np.ones((4, 0, 3), np.float32))})
+        with pytest.raises(ValueError, match="'head.w'.*zero-size"):
+            checkpoint.loads_params(blob)
+
 
 class TestResample:
+    @pytest.mark.parametrize("src,dst,kernel", [
+        (960, 1920, "cubic"), (1920, 960, "cubic"), (480, 1920, "lanczos4"),
+        (540, 1080, "lanczos4"), (64, 16, "cubic"), (1, 7, "cubic")])
+    def test_matrix_matches_row_oracle_bitwise(self, src, dst, kernel):
+        for antialias in (True, False):
+            got = resample.resize_matrix(src, dst, kernel, antialias)
+            want = resample_oracle.resize_matrix(src, dst, kernel, antialias)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got.view(np.int64),
+                                          want.view(np.int64))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 300),
+           st.sampled_from(["cubic", "lanczos4"]), st.booleans())
+    def test_matrix_matches_row_oracle_bitwise_any_size(self, src, dst,
+                                                        kernel, antialias):
+        got = resample.resize_matrix(src, dst, kernel, antialias)
+        want = resample_oracle.resize_matrix(src, dst, kernel, antialias)
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      want.view(np.int64))
+
     def test_cubic_interpolates_linear_ramp(self):
         # Catmull-Rom reproduces degree-1 polynomials away from borders
         src = np.arange(16, dtype=np.float64)[None, :].repeat(4, axis=0)
