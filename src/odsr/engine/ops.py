@@ -39,10 +39,6 @@ _ERF_Q = np.array(
      -7.37332916720468e-03, -1.42647390514189e-02], dtype=np.float32)
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _pair(a, b) -> tuple[Tensor, Tensor]:
     """Coerce the non-Tensor operand, keeping the Tensor operand's dtype.
 

@@ -10,7 +10,7 @@ scalars.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -32,16 +32,6 @@ class Tensor:
         if arr.dtype not in FLOAT_DTYPES:
             arr = arr.astype(np.float32)
         self.data = arr
-
-    # -- constructors -----------------------------------------------------
-
-    @staticmethod
-    def zeros(shape: Sequence[int], dtype=np.float32) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=dtype))
-
-    @staticmethod
-    def full(shape: Sequence[int], value: float, dtype=np.float32) -> "Tensor":
-        return Tensor(np.full(shape, value, dtype=dtype))
 
     # -- views ------------------------------------------------------------
 

@@ -12,5 +12,5 @@ from .checkpoint import dumps_params, load_checkpoint, loads_params, save_checkp
 from .networks import Network, NetworkSpec, count_flops, count_params, init_params, param_specs
 from .resample import (
     bicubic_downscale, bicubic_upscale, cubic_kernel, lanczos_kernel,
-    lanczos_upscale, resize_image, resize_matrix, resize_plane,
+    resize_image, resize_matrix, resize_plane,
 )

@@ -1,11 +1,11 @@
 """Layer descriptors for the SR networks.
 
 A network is a tuple of descriptors applied in order.  Descriptors are
-frozen dataclasses that know three things: their parameter table
-(:meth:`param_specs`), their forward computation against a flat parameter
-dict, and their FLOP cost.  Channel bookkeeping is validated as the specs
-are walked, so a mis-wired builder fails at construction time rather than
-mid-forward.
+frozen dataclasses that know three things: their parameter table and
+output channel count (:meth:`specs`), their forward computation against a
+flat parameter dict, and their FLOP cost.  Each descriptor checks its input
+channels as the specs are walked, so a mis-wired builder fails at
+construction time rather than mid-forward.
 """
 from __future__ import annotations
 
@@ -62,9 +62,22 @@ def run_layers(layers, x: Tensor, P: dict[str, Tensor], path: str) -> Tensor:
 def _layers_specs(layers, c: int, path: str) -> tuple[list[ParamSpec], int]:
     specs: list[ParamSpec] = []
     for i, layer in enumerate(layers):
-        specs.extend(layer.param_specs(c, f"{path}.{i}"))
-        c = layer.out_channels(c)
+        layer_specs, c = layer.specs(c, f"{path}.{i}")
+        specs.extend(layer_specs)
     return specs, c
+
+
+def _expect(kind: str, want: int, got: int) -> None:
+    if got != want:
+        raise ValueError(f"{kind} expects {want} channels, got {got}")
+
+
+def _same_channels(kind: str, body, c_in: int,
+                   path: str) -> tuple[list[ParamSpec], int]:
+    specs, c_out = _layers_specs(body, c_in, path)
+    if c_out != c_in:
+        raise ValueError(f"{kind} body maps {c_in} -> {c_out} channels")
+    return specs, c_in
 
 
 def _layers_flops(layers, s: Shape) -> tuple[int, Shape]:
@@ -85,15 +98,10 @@ class Conv:
     groups: int = 1
     bias: bool = True
 
-    def out_channels(self, c_in: int) -> int:
-        if c_in != self.in_ch:
-            raise ValueError(f"Conv expects {self.in_ch} channels, got {c_in}")
-        return self.out_ch
-
-    def param_specs(self, c_in: int, path: str) -> list[ParamSpec]:
-        self.out_channels(c_in)
+    def specs(self, c_in: int, path: str) -> tuple[list[ParamSpec], int]:
+        _expect("Conv", self.in_ch, c_in)
         return _conv_specs(path, self.in_ch, self.out_ch, self.kernel,
-                           self.groups, self.bias)
+                           self.groups, self.bias), self.out_ch
 
     def forward(self, x: Tensor, P, path: str) -> Tensor:
         return _conv(x, P, path, self.stride, self.padding, self.groups)
@@ -115,21 +123,15 @@ class ConvTranspose:
     padding: int = 0
     output_padding: int = 0
 
-    def out_channels(self, c_in: int) -> int:
-        if c_in != self.in_ch:
-            raise ValueError(
-                f"ConvTranspose expects {self.in_ch} channels, got {c_in}")
-        return self.out_ch
-
-    def param_specs(self, c_in: int, path: str) -> list[ParamSpec]:
-        self.out_channels(c_in)
+    def specs(self, c_in: int, path: str) -> tuple[list[ParamSpec], int]:
+        _expect("ConvTranspose", self.in_ch, c_in)
         fan = self.out_ch * self.kernel ** 2  # fan-in of the adjoint conv
         return [
             ParamSpec(f"{path}.w",
                       (self.in_ch, self.out_ch, self.kernel, self.kernel),
                       fan),
             ParamSpec(f"{path}.b", (self.out_ch,), None),
-        ]
+        ], self.out_ch
 
     def forward(self, x: Tensor, P, path: str) -> Tensor:
         return ops.conv_transpose2d(
@@ -150,11 +152,8 @@ class Act:
     kind: str = "gelu"
     slope: float = 0.1
 
-    def out_channels(self, c_in: int) -> int:
-        return c_in
-
-    def param_specs(self, c_in: int, path: str) -> list[ParamSpec]:
-        return []
+    def specs(self, c_in: int, path: str) -> tuple[list[ParamSpec], int]:
+        return [], c_in
 
     def forward(self, x: Tensor, P, path: str) -> Tensor:
         return _act(x, self.kind, self.slope)
@@ -167,16 +166,12 @@ class Act:
 class PixelShuffle:
     r: int
 
-    def out_channels(self, c_in: int) -> int:
+    def specs(self, c_in: int, path: str) -> tuple[list[ParamSpec], int]:
         if c_in % (self.r * self.r):
             raise ValueError(
                 f"PixelShuffle({self.r}) needs channels divisible by "
                 f"{self.r * self.r}, got {c_in}")
-        return c_in // (self.r * self.r)
-
-    def param_specs(self, c_in: int, path: str) -> list[ParamSpec]:
-        self.out_channels(c_in)
-        return []
+        return [], c_in // (self.r * self.r)
 
     def forward(self, x: Tensor, P, path: str) -> Tensor:
         return ops.pixel_shuffle(x, self.r)
@@ -189,11 +184,8 @@ class PixelShuffle:
 class RepeatChannels:
     times: int
 
-    def out_channels(self, c_in: int) -> int:
-        return c_in * self.times
-
-    def param_specs(self, c_in: int, path: str) -> list[ParamSpec]:
-        return []
+    def specs(self, c_in: int, path: str) -> tuple[list[ParamSpec], int]:
+        return [], c_in * self.times
 
     def forward(self, x: Tensor, P, path: str) -> Tensor:
         return ops.repeat_channels(x, self.times)
@@ -207,15 +199,10 @@ class Grn:
     ch: int
     is_norm: bool = field(default=True, init=False)
 
-    def out_channels(self, c_in: int) -> int:
-        if c_in != self.ch:
-            raise ValueError(f"Grn expects {self.ch} channels, got {c_in}")
-        return self.ch
-
-    def param_specs(self, c_in: int, path: str) -> list[ParamSpec]:
-        self.out_channels(c_in)
+    def specs(self, c_in: int, path: str) -> tuple[list[ParamSpec], int]:
+        _expect("Grn", self.ch, c_in)
         return [ParamSpec(f"{path}.gamma", (1, self.ch, 1, 1), None),
-                ParamSpec(f"{path}.beta", (1, self.ch, 1, 1), None)]
+                ParamSpec(f"{path}.beta", (1, self.ch, 1, 1), None)], self.ch
 
     def forward(self, x: Tensor, P, path: str) -> Tensor:
         return ops.grn(x, P[f"{path}.gamma"], P[f"{path}.beta"])
@@ -237,19 +224,14 @@ class Safm:
             raise ValueError(
                 f"Safm channels {self.ch} not divisible by {self.levels}")
 
-    def out_channels(self, c_in: int) -> int:
-        if c_in != self.ch:
-            raise ValueError(f"Safm expects {self.ch} channels, got {c_in}")
-        return self.ch
-
-    def param_specs(self, c_in: int, path: str) -> list[ParamSpec]:
-        self.out_channels(c_in)
+    def specs(self, c_in: int, path: str) -> tuple[list[ParamSpec], int]:
+        _expect("Safm", self.ch, c_in)
         g = self.ch // self.levels
         specs: list[ParamSpec] = []
         for i in range(self.levels):
             specs.extend(_conv_specs(f"{path}.dw{i}", g, g, 3, groups=g))
         specs.extend(_conv_specs(f"{path}.aggr", self.ch, self.ch, 1))
-        return specs
+        return specs, self.ch
 
     def forward(self, x: Tensor, P, path: str) -> Tensor:
         g = self.ch // self.levels
@@ -288,16 +270,12 @@ class Ccm:
     ch: int
     expand: int = 2
 
-    def out_channels(self, c_in: int) -> int:
-        if c_in != self.ch:
-            raise ValueError(f"Ccm expects {self.ch} channels, got {c_in}")
-        return self.ch
-
-    def param_specs(self, c_in: int, path: str) -> list[ParamSpec]:
-        self.out_channels(c_in)
+    def specs(self, c_in: int, path: str) -> tuple[list[ParamSpec], int]:
+        _expect("Ccm", self.ch, c_in)
         hidden = self.ch * self.expand
         return (_conv_specs(f"{path}.expand", self.ch, hidden, 3)
-                + _conv_specs(f"{path}.project", hidden, self.ch, 1))
+                + _conv_specs(f"{path}.project", hidden, self.ch, 1),
+                self.ch)
 
     def forward(self, x: Tensor, P, path: str) -> Tensor:
         y = ops.gelu(_conv(x, P, f"{path}.expand", padding=1))
@@ -321,15 +299,11 @@ class Ffc:
 
     ch: int
 
-    def out_channels(self, c_in: int) -> int:
-        if c_in != self.ch:
-            raise ValueError(f"Ffc expects {self.ch} channels, got {c_in}")
-        return self.ch
-
-    def param_specs(self, c_in: int, path: str) -> list[ParamSpec]:
-        self.out_channels(c_in)
+    def specs(self, c_in: int, path: str) -> tuple[list[ParamSpec], int]:
+        _expect("Ffc", self.ch, c_in)
         return (_conv_specs(f"{path}.spatial", self.ch, self.ch, 3)
-                + _conv_specs(f"{path}.freq", 2 * self.ch, 2 * self.ch, 1))
+                + _conv_specs(f"{path}.freq", 2 * self.ch, 2 * self.ch, 1),
+                self.ch)
 
     def forward(self, x: Tensor, P, path: str) -> Tensor:
         spatial = _conv(x, P, f"{path}.spatial", padding=1)
@@ -360,17 +334,13 @@ class CspBlock:
         if self.ch % 2:
             raise ValueError(f"CspBlock needs even channels, got {self.ch}")
 
-    def out_channels(self, c_in: int) -> int:
-        if c_in != self.ch:
-            raise ValueError(f"CspBlock expects {self.ch} channels, got {c_in}")
-        return self.ch
-
-    def param_specs(self, c_in: int, path: str) -> list[ParamSpec]:
-        self.out_channels(c_in)
+    def specs(self, c_in: int, path: str) -> tuple[list[ParamSpec], int]:
+        _expect("CspBlock", self.ch, c_in)
         half = self.ch // 2
         return (_conv_specs(f"{path}.conv1", half, half, 3)
                 + _conv_specs(f"{path}.conv2", half, half, 3)
-                + _conv_specs(f"{path}.transition", self.ch, self.ch, 1))
+                + _conv_specs(f"{path}.transition", self.ch, self.ch, 1),
+                self.ch)
 
     def forward(self, x: Tensor, P, path: str) -> Tensor:
         half = self.ch // 2
@@ -403,18 +373,12 @@ class DownscaleHead:
     kernels: tuple[int, ...] = (3, 5, 7)
     slope: float = 0.1
 
-    def out_channels(self, c_in: int) -> int:
-        if c_in != self.in_ch:
-            raise ValueError(
-                f"DownscaleHead expects {self.in_ch} channels, got {c_in}")
-        return self.width * len(self.kernels)
-
-    def param_specs(self, c_in: int, path: str) -> list[ParamSpec]:
-        self.out_channels(c_in)
+    def specs(self, c_in: int, path: str) -> tuple[list[ParamSpec], int]:
+        _expect("DownscaleHead", self.in_ch, c_in)
         specs: list[ParamSpec] = []
         for k in self.kernels:
             specs.extend(_conv_specs(f"{path}.k{k}", self.in_ch, self.width, k))
-        return specs
+        return specs, self.width * len(self.kernels)
 
     def forward(self, x: Tensor, P, path: str) -> Tensor:
         outs = []
@@ -442,19 +406,8 @@ class Residual:
 
     body: tuple
 
-    def out_channels(self, c_in: int) -> int:
-        _, c_out = _layers_specs(self.body, c_in, "probe")
-        if c_out != c_in:
-            raise ValueError(
-                f"Residual body maps {c_in} -> {c_out} channels")
-        return c_in
-
-    def param_specs(self, c_in: int, path: str) -> list[ParamSpec]:
-        specs, c_out = _layers_specs(self.body, c_in, path)
-        if c_out != c_in:
-            raise ValueError(
-                f"Residual body maps {c_in} -> {c_out} channels")
-        return specs
+    def specs(self, c_in: int, path: str) -> tuple[list[ParamSpec], int]:
+        return _same_channels("Residual", self.body, c_in, path)
 
     def forward(self, x: Tensor, P, path: str) -> Tensor:
         return ops.add(run_layers(self.body, x, P, path), x)
@@ -470,15 +423,14 @@ class ParallelConcat:
 
     branches: tuple
 
-    def out_channels(self, c_in: int) -> int:
-        return sum(_layers_specs(b, c_in, "probe")[1] for b in self.branches)
-
-    def param_specs(self, c_in: int, path: str) -> list[ParamSpec]:
+    def specs(self, c_in: int, path: str) -> tuple[list[ParamSpec], int]:
         specs: list[ParamSpec] = []
+        c_out = 0
         for j, branch in enumerate(self.branches):
-            s, _ = _layers_specs(branch, c_in, f"{path}.b{j}")
+            s, c = _layers_specs(branch, c_in, f"{path}.b{j}")
             specs.extend(s)
-        return specs
+            c_out += c
+        return specs, c_out
 
     def forward(self, x: Tensor, P, path: str) -> Tensor:
         outs = [run_layers(b, x, P, f"{path}.b{j}")
@@ -504,19 +456,8 @@ class UpsampleAddSkip:
     scale: int
     body: tuple
 
-    def out_channels(self, c_in: int) -> int:
-        _, c_out = _layers_specs(self.body, c_in, "probe")
-        if c_out != c_in:
-            raise ValueError(
-                f"UpsampleAddSkip body maps {c_in} -> {c_out} channels")
-        return c_in
-
-    def param_specs(self, c_in: int, path: str) -> list[ParamSpec]:
-        specs, c_out = _layers_specs(self.body, c_in, path)
-        if c_out != c_in:
-            raise ValueError(
-                f"UpsampleAddSkip body maps {c_in} -> {c_out} channels")
-        return specs
+    def specs(self, c_in: int, path: str) -> tuple[list[ParamSpec], int]:
+        return _same_channels("UpsampleAddSkip", self.body, c_in, path)
 
     def forward(self, x: Tensor, P, path: str) -> Tensor:
         h, w = x.shape[2], x.shape[3]

@@ -1,10 +1,10 @@
 """Classical separable resamplers: Catmull-Rom bicubic and Lanczos-4.
 
-Planes are 2-D float arrays (or HxWxC stacks resized per channel).  Output
-pixel centers map to source coordinates via the center-aligned convention
-src = (dst + 0.5) / scale - 0.5.  Rows of the resize matrix are normalized
-so constants are reproduced exactly; downscaling stretches the kernel for
-antialiasing.
+Planes are 2-D float arrays or (..., H, W) stacks resized in one call.
+Output pixel centers map to source coordinates via the center-aligned
+convention src = (dst + 0.5) / scale - 0.5.  Rows of the resize matrix
+are normalized so constants are reproduced exactly; downscaling stretches
+the kernel for antialiasing.
 """
 from __future__ import annotations
 
@@ -73,13 +73,16 @@ def resize_matrix(src: int, dst: int, kernel: str = "cubic",
 
 def resize_plane(plane: np.ndarray, out_hw: tuple[int, int],
                  kernel: str = "cubic", antialias: bool = True) -> np.ndarray:
-    """Separable resize of a 2-D plane (float64 output)."""
-    if plane.ndim != 2:
-        raise ValueError(f"expected 2-D plane, got shape {plane.shape}")
+    """Separable resize of a (..., h, w) plane stack (float64 output)."""
+    if plane.ndim < 2:
+        raise ValueError(
+            f"expected (..., h, w) planes, got shape {plane.shape}")
     oh, ow = out_hw
-    mh = resize_matrix(plane.shape[0], oh, kernel, antialias)
-    mw = resize_matrix(plane.shape[1], ow, kernel, antialias)
-    return mh @ plane.astype(np.float64) @ mw.T
+    mh = resize_matrix(plane.shape[-2], oh, kernel, antialias)
+    mw = resize_matrix(plane.shape[-1], ow, kernel, antialias)
+    # C order keeps every plane a BLAS operand, so a stack resizes each
+    # plane exactly as a lone 2-D call would
+    return mh @ np.ascontiguousarray(plane, dtype=np.float64) @ mw.T
 
 
 def resize_image(img: np.ndarray, out_hw: tuple[int, int],
@@ -88,8 +91,8 @@ def resize_image(img: np.ndarray, out_hw: tuple[int, int],
     if img.ndim == 2:
         out = resize_plane(img, out_hw, kernel, antialias)
     elif img.ndim == 3:
-        out = np.stack([resize_plane(img[..., c], out_hw, kernel, antialias)
-                        for c in range(img.shape[2])], axis=-1)
+        out = np.ascontiguousarray(np.moveaxis(resize_plane(
+            np.moveaxis(img, -1, 0), out_hw, kernel, antialias), 0, -1))
     else:
         raise ValueError(f"expected HxW or HxWxC image, got {img.shape}")
     if img.dtype == np.uint8:
@@ -110,9 +113,3 @@ def bicubic_downscale(img: np.ndarray, scale: int) -> np.ndarray:
             f"image {img.shape[:2]} not divisible by scale {scale}")
     oh, ow = img.shape[0] // scale, img.shape[1] // scale
     return resize_image(img, (oh, ow), "cubic")
-
-
-def lanczos_upscale(img: np.ndarray, scale: int) -> np.ndarray:
-    """Lanczos-4 upscale by an integer factor."""
-    oh, ow = img.shape[0] * scale, img.shape[1] * scale
-    return resize_image(img, (oh, ow), "lanczos4")

@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import harness
 from .engine.tensor import Tape, Tensor, backward
 from .losses import charbonnier_loss, fft_loss
 from .metrics import WeightMap, mse_to_db, ws_mse
@@ -119,16 +120,8 @@ def as_chw(frame) -> np.ndarray:
     channel-first float array.
     """
     if hasattr(frame, "rgb") and hasattr(frame, "layout"):
-        from .media import yuv420_to_rgb
-
-        if frame.layout == "yuv420":
-            frame = yuv420_to_rgb(frame)
-        if frame.layout == "y8":
-            arr = np.repeat(frame.y()[:, :, None], 3, axis=2)
-        else:
-            arr = frame.rgb()
-    else:
-        arr = np.asarray(frame)
+        return harness.frame_to_tensor(frame).data[0]
+    arr = np.asarray(frame)
     if arr.ndim != 3:
         raise ValueError(f"expected a 3-D frame, got shape {arr.shape}")
     if arr.shape[-1] == 3:
@@ -160,10 +153,8 @@ class PatchPair:
 
 def degrade(hr_chw: np.ndarray, scale: int) -> np.ndarray:
     """Synthesize the LR counterpart by antialiased bicubic downscaling."""
-    c, h, w = hr_chw.shape
-    out_hw = (h // scale, w // scale)
-    lr = np.stack([resize_plane(hr_chw[i].astype(np.float64), out_hw)
-                   for i in range(c)])
+    _, h, w = hr_chw.shape
+    lr = resize_plane(hr_chw, (h // scale, w // scale))
     return np.clip(lr, 0.0, 1.0).astype(np.float32)
 
 

@@ -1,4 +1,5 @@
 """Architecture structure, parameter anchors, checkpoints, resampling."""
+import hashlib
 import io
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import resample_oracle
 from odsr import trainer
 from odsr.engine.tensor import Tape, Tensor, backward
-from odsr.models import builders, checkpoint, networks, resample
+from odsr.models import blocks, builders, checkpoint, networks, resample
 
 ANCHORS = (
     # name, scale, published count, tolerance
@@ -87,6 +88,65 @@ class TestBuilders:
             net(Tensor(np.zeros((3, 8, 8), dtype=np.float32)))
         with pytest.raises(ValueError):
             net(Tensor(np.zeros((1, 4, 8, 8), dtype=np.float32)))
+
+
+# SHA-256 over the "name|shape|fan_in" rows of each parameter table.
+# Names, order and fan-in fix checkpoint layout and seeded init weights.
+PARAM_TABLE_SHA256 = {
+    ("athena", 2): "8097e234cd22acda0fa8f0b8c5b6a6fcba5078d82f8dded046733f32af8aef75",
+    ("athena", 4): "6fc1b508beb1691e76a34b6464886167fe7ef36e8b8275bee2456d6d9a531d01",
+    ("cspsr", 2): "031cee2ace73bea58c8084e27696b9fda2aa7cabf9638852fc724804e6d8bfd1",
+    ("cspsr", 4): "5f4b8ccda99b773b56e6c4b2722ba18752fbd518ad992da69d5ea34fc1a0e861",
+    ("ffcir", 2): "9e44493fee9c35438ae6d4b7e16a178e673f8152c4432bd94fef6b46336cdd15",
+    ("ffcir", 4): "6198966c05b2715f2888e9fef91eb43c620781cf76cc8f5e74087b49fbb308cf",
+    ("fsrcnn", 2): "4f68a6e6ec8827411e0f541d930b2d10e5034aaa4773414f803445305675e3bc",
+    ("fsrcnn", 4): "4f68a6e6ec8827411e0f541d930b2d10e5034aaa4773414f803445305675e3bc",
+    ("vacv", 2): "0dd1048e4f5f0a4976f6bdd5991cab8b4e2d29e8dc5b89488cb6e01988a41273",
+    ("vacv", 4): "0dd1048e4f5f0a4976f6bdd5991cab8b4e2d29e8dc5b89488cb6e01988a41273",
+}
+
+MISWIRED = {
+    "conv": ((blocks.Conv(36, 3, 3),), "Conv expects 36 channels, got 3"),
+    "conv_transpose": ((blocks.ConvTranspose(4, 3, 3),),
+                       "ConvTranspose expects 4 channels, got 3"),
+    "grn": ((blocks.Grn(4),), "Grn expects 4 channels, got 3"),
+    "safm": ((blocks.Safm(4),), "Safm expects 4 channels, got 3"),
+    "ccm": ((blocks.Ccm(4),), "Ccm expects 4 channels, got 3"),
+    "ffc": ((blocks.Ffc(4),), "Ffc expects 4 channels, got 3"),
+    "csp": ((blocks.CspBlock(4),), "CspBlock expects 4 channels, got 3"),
+    "downscale_head": ((blocks.DownscaleHead(4, 1),),
+                       "DownscaleHead expects 4 channels, got 3"),
+    "pixel_shuffle": ((blocks.PixelShuffle(2),),
+                      "PixelShuffle(2) needs channels divisible by 4, got 3"),
+    "residual": ((blocks.Residual((blocks.Conv(3, 4, 1),)),),
+                 "Residual body maps 3 -> 4 channels"),
+    "upsample_add_skip": (
+        (blocks.UpsampleAddSkip(2, (blocks.Conv(3, 4, 1),)),),
+        "UpsampleAddSkip body maps 3 -> 4 channels"),
+    "network_tail": ((blocks.Conv(3, 4, 1),),
+                     "network must end with 3 channels, got 4"),
+    "parallel_branch": ((blocks.ParallelConcat(((blocks.Conv(3, 3, 1),),
+                                                (blocks.Conv(4, 3, 1),))),
+                         blocks.Conv(6, 3, 1)),
+                        "Conv expects 4 channels, got 3"),
+}
+
+
+class TestSpecWalk:
+    @pytest.mark.parametrize("name,scale", sorted(PARAM_TABLE_SHA256))
+    def test_param_table_golden(self, name, scale):
+        rows = "".join(
+            f"{ps.name}|{ps.shape}|{ps.fan_in}\n"
+            for ps in networks.param_specs(builders.build(name, scale)))
+        digest = hashlib.sha256(rows.encode()).hexdigest()
+        assert digest == PARAM_TABLE_SHA256[name, scale]
+
+    @pytest.mark.parametrize("case", sorted(MISWIRED))
+    def test_miswired_spec_rejected(self, case):
+        layers, message = MISWIRED[case]
+        with pytest.raises(ValueError) as err:
+            networks.NetworkSpec("miswired", 2, layers)
+        assert str(err.value) == message
 
 
 class TestFlops:
@@ -216,6 +276,22 @@ class TestResample:
         np.testing.assert_allclose(inner, np.broadcast_to(xs[4:-4],
                                                           inner.shape),
                                    atol=1e-9)
+
+    @pytest.mark.parametrize("hw,out_hw", [
+        ((64, 64), (32, 32)), ((37, 53), (74, 106)), ((33, 17), (11, 5))])
+    def test_plane_stack_matches_per_plane_bitwise(self, hw, out_hw):
+        rng = np.random.default_rng(3)
+        # channel-last memory seen through a channel-first view, the layout
+        # trainer.as_chw returns
+        stack = rng.random(hw + (3,), dtype=np.float32).transpose(2, 0, 1)
+        for kernel in ("cubic", "lanczos4"):
+            got = resample.resize_plane(stack, out_hw, kernel)
+            want = np.stack([resample.resize_plane(p, out_hw, kernel)
+                             for p in stack])
+            np.testing.assert_array_equal(got.view(np.int64),
+                                          want.view(np.int64))
+        with pytest.raises(ValueError):
+            resample.resize_plane(np.zeros(5), out_hw)
 
     def test_constant_preserved(self):
         src = np.full((6, 9), 3.25)

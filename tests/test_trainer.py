@@ -405,3 +405,11 @@ class TestEvalHelpers:
             assert chw.shape == (3, 8, 6)
             assert chw.dtype == np.float32
             assert chw.min() >= 0.0 and chw.max() <= 1.0
+        # every frame layout decodes exactly as the harness decodes it
+        from odsr import harness
+        for fb in (frame, media.FrameBuffer.from_y(hwc[..., 0]),
+                   media.rgb_to_yuv420(frame)):
+            chw = trainer.as_chw(fb)
+            want = harness.frame_to_tensor(fb).data[0]
+            assert chw.dtype == want.dtype and chw.strides == want.strides
+            np.testing.assert_array_equal(chw, want)
