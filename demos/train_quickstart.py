@@ -39,9 +39,7 @@ def main():
              for i in range(24)]
 
     def bicubic_up(x):
-        arr = x.data[0]
-        up = np.stack([resample.resize_plane(arr[c], (64, 64))
-                       for c in range(3)])
+        up = resample.resize_plane(x.data[0], (64, 64))
         return Tensor(np.clip(up, 0.0, 1.0).astype(np.float32)[None])
 
     net_db = trainer.eval_patch_ws_psnr(result.network, pairs)

@@ -121,7 +121,7 @@ def _median_cv(seconds) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class RuntimeSample:
-    """Per-repetition seconds per forward plus summary statistics."""
+    """Per-repetition forward seconds plus summary statistics."""
 
     seconds: tuple[float, ...]
     lr_hw: tuple[int, int]
@@ -144,13 +144,6 @@ def summarize_runtime(seconds) -> tuple[float, float]:
     return _median_cv(seconds)
 
 
-# Shortest span one timed repetition covers (pyperf's default).  A shared
-# virtual machine's speed can shift by 20-50% for tens of milliseconds at a
-# time; a repetition of a few-millisecond forward samples one such shift,
-# one of 100 ms averages over several.
-_MIN_REP_S = 0.1
-
-
 def measure_runtime(model, frame, warmup: int = 5,
                     reps: int = 30, seed: int = 0,
                     clock: Callable[[], float] = time.perf_counter
@@ -160,10 +153,7 @@ def measure_runtime(model, frame, warmup: int = 5,
     ``frame`` is either a FrameBuffer or an (h, w) pair, in which case a
     fixed random input is synthesized.  The same tensor is reused across
     warmup and timed repetitions, so only the forward pass sits between
-    the clock reads.  Warmup calls are timed as well: if the fastest is
-    shorter than ``_MIN_REP_S``, each repetition runs the model enough
-    times to cover that span and records the mean seconds per call
-    (timeit/pyperf style).  With ``warmup=0`` a repetition is one call.
+    the clock reads.
     """
     if reps < 3:
         raise ValueError(f"reps must be >= 3, got {reps}")
@@ -175,22 +165,16 @@ def measure_runtime(model, frame, warmup: int = 5,
         rng = np.random.default_rng(seed)
         x = Tensor(rng.random((1, 3, h, w), dtype=np.float32))
     out_hw = (h, w)
-    fastest = math.inf
     for _ in range(warmup):
-        t0 = clock()
         out = model(x)
-        fastest = min(fastest, clock() - t0)
         out_hw = out.shape[2:]
-    loops = (math.ceil(_MIN_REP_S / fastest)
-             if 0.0 < fastest < _MIN_REP_S else 1)
     seconds = []
     for _ in range(reps):
         t0 = clock()
-        for _ in range(loops):
-            out = model(x)
+        out = model(x)
         t1 = clock()
         out_hw = out.shape[2:]
-        seconds.append((t1 - t0) / loops)
+        seconds.append(t1 - t0)
     return RuntimeSample(tuple(seconds), (h, w), tuple(out_hw))
 
 

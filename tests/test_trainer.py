@@ -405,11 +405,15 @@ class TestEvalHelpers:
             assert chw.shape == (3, 8, 6)
             assert chw.dtype == np.float32
             assert chw.min() >= 0.0 and chw.max() <= 1.0
-        # every frame layout decodes exactly as the harness decodes it
-        from odsr import harness
-        for fb in (frame, media.FrameBuffer.from_y(hwc[..., 0]),
-                   media.rgb_to_yuv420(frame)):
+        # every frame layout: uint8 RGB over 255 as float32, channel-first
+        # view of channel-last memory; y8 replicates its plane
+        gray = media.FrameBuffer.from_y(hwc[..., 0])
+        yuv = media.rgb_to_yuv420(frame)
+        for fb, rgb in ((frame, hwc),
+                        (gray, np.repeat(hwc[..., :1], 3, axis=2)),
+                        (yuv, media.yuv420_to_rgb(yuv).rgb())):
             chw = trainer.as_chw(fb)
-            want = harness.frame_to_tensor(fb).data[0]
+            want = (rgb.astype(np.float32) / np.float32(255)).transpose(
+                2, 0, 1)
             assert chw.dtype == want.dtype and chw.strides == want.strides
             np.testing.assert_array_equal(chw, want)
