@@ -220,6 +220,14 @@ def _cmd_surface(opt: _Options) -> int:
     return 0
 
 
+_TRAIN_SETTINGS = {
+    "iterations": int, "batch": int, "patch": int, "lr": float, "loss": str,
+    "seed": int, "flip": _to_bool, "rot90": _to_bool, "mixup": _to_bool,
+    "mixup_alpha": float, "fft_weight": float, "decay_every": int,
+    "decay_factor": float,
+}
+
+
 def _cmd_train(opt: _Options) -> int:
     name = opt.get("model", required=True)
     scale = opt.get("scale", int, required=True)
@@ -230,26 +238,12 @@ def _cmd_train(opt: _Options) -> int:
             seed=opt.get("frame-seed", int, 0))
     else:
         frames = media.load_sequence(source).frames
+    # only the settings given reach TrainConfig, so its defaults apply
+    given = {key: opt.get(key, conv) for key, conv in _TRAIN_SETTINGS.items()}
     cfg = trainer.TrainConfig(
-        iterations=opt.get("iterations", int, 200),
-        batch=opt.get("batch", int, 8),
-        patch=opt.get("patch", int, 32),
-        lr=opt.get("lr", float, 2e-3),
-        loss=opt.get("loss", str, "charbonnier"),
-        seed=opt.get("seed", int, 0),
-        flip=opt.get("flip", _to_bool, True),
-        rot90=opt.get("rot90", _to_bool, True),
-        mixup=opt.get("mixup", _to_bool, False),
-        mixup_alpha=opt.get("mixup-alpha", float, 1.2),
-        fft_weight=opt.get("fft-weight", float, 0.1),
-        decay_every=opt.get("decay-every", int, 0),
-        decay_factor=opt.get("decay-factor", float, 0.1))
-    ckpt_in = opt.get("checkpoint")
-    if ckpt_in:
-        net = checkpoint.load_checkpoint(ckpt_in, builders.build(name, scale))
-    else:
-        net = networks.Network.init(builders.build(name, scale),
-                                    seed=opt.get("init-seed", int, 0))
+        **{k: v for k, v in given.items() if v is not None})
+    net = harness.make_model(name, scale, opt.get("checkpoint"),
+                             seed=opt.get("init-seed", int, 0))
     result = trainer.train(net, frames, cfg)
     ckpt_out = opt.get("checkpoint-out")
     if ckpt_out:

@@ -1,40 +1,2 @@
 """Minimal NCHW tensor engine with reverse-mode autodiff."""
-from .tensor import Tensor, Tape, backward, active_tape
-from .ops import (
-    ConvParams,
-    absolute,
-    adaptive_max_pool,
-    add,
-    concat_channels,
-    conv2d,
-    conv_transpose2d,
-    div,
-    exp,
-    fft2_rc,
-    gelu,
-    grn,
-    ifft2_rc,
-    leaky_relu,
-    mul,
-    neg,
-    pixel_shuffle,
-    pixel_unshuffle,
-    relu,
-    repeat_channels,
-    slice_channels,
-    sqrt,
-    square,
-    sub,
-    tmean,
-    tsum,
-    upsample_nearest,
-)
-
-__all__ = [
-    "Tensor", "Tape", "backward", "active_tape",
-    "ConvParams", "absolute", "adaptive_max_pool", "add",
-    "concat_channels", "conv2d", "conv_transpose2d", "div", "exp", "fft2_rc",
-    "gelu", "grn", "ifft2_rc", "leaky_relu", "mul", "neg", "pixel_shuffle",
-    "pixel_unshuffle", "relu", "repeat_channels", "slice_channels", "sqrt",
-    "square", "sub", "tmean", "tsum", "upsample_nearest",
-]
+from . import ops  # noqa: F401  (attaches Tensor's arithmetic dunders)

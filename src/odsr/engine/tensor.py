@@ -54,12 +54,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype))
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name})"
 

@@ -14,7 +14,7 @@ import math
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -40,14 +40,10 @@ class InterpModel:
 
     def __call__(self, x: Tensor) -> Tensor:
         arr = x.data
-        n, c, h, w = arr.shape
-        out_hw = (h * self.scale, w * self.scale)
-        out = np.empty((n, c) + out_hw, dtype=arr.dtype)
-        for i in range(n):
-            for j in range(c):
-                out[i, j] = resample.resize_plane(
-                    arr[i, j].astype(np.float64), out_hw, self.kernel)
-        return Tensor(np.clip(out, 0.0, 1.0))
+        h, w = arr.shape[2:]
+        out = resample.resize_plane(
+            arr, (h * self.scale, w * self.scale), self.kernel)
+        return Tensor(np.clip(out.astype(arr.dtype), 0.0, 1.0))
 
 
 _BASELINES = {
@@ -111,14 +107,6 @@ def run_sequence(model, frames: Iterable[FrameBuffer]
 
 # -- runtime ----------------------------------------------------------------
 
-def _median_cv(seconds) -> tuple[float, float]:
-    """(median, coefficient of variation); the CV of one sample is 0."""
-    mean = statistics.fmean(seconds)
-    cv = (statistics.stdev(seconds) / mean
-          if mean != 0.0 and len(seconds) > 1 else 0.0)
-    return statistics.median(seconds), cv
-
-
 @dataclass(frozen=True)
 class RuntimeSample:
     """Per-repetition forward seconds plus summary statistics."""
@@ -129,19 +117,14 @@ class RuntimeSample:
 
     @property
     def median(self) -> float:
-        return _median_cv(self.seconds)[0]
+        return statistics.median(self.seconds)
 
     @property
     def cv(self) -> float:
-        return _median_cv(self.seconds)[1]
-
-
-def summarize_runtime(seconds) -> tuple[float, float]:
-    """(median, coefficient of variation) of raw timing samples."""
-    seconds = tuple(float(s) for s in seconds)
-    if not seconds:
-        raise ValueError("no timing samples")
-    return _median_cv(seconds)
+        """Coefficient of variation; 0 for a single sample."""
+        mean = statistics.fmean(self.seconds)
+        return (statistics.stdev(self.seconds) / mean
+                if mean != 0.0 and len(self.seconds) > 1 else 0.0)
 
 
 def measure_runtime(model, frame, warmup: int = 5,

@@ -29,10 +29,13 @@ def fft_loss(x: Tensor, y: Tensor) -> Tensor:
 
 
 def ws_weighted_l1(x: Tensor, y: Tensor, weights) -> Tensor:
-    """Latitude-weighted L1: sum(w * |x - y|) / (n * c * sum(w)).
+    """Latitude-weighted L1, averaged over samples:
+    mean_i sum(w_i * |x_i - y_i|) / (c * sum(w_i)).
 
-    ``weights`` is a WeightMap or an (h, w) array matching the spatial dims;
-    a uniform map reduces this to plain mean absolute error.
+    ``weights`` is a WeightMap or an (h, w) array shared by all samples, or
+    an (n, h, w) stack with one map per sample; a uniform map reduces this
+    to plain mean absolute error.  The normalization is folded into a
+    constant weight tensor, so one weighted sum does the whole job.
     """
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
@@ -41,8 +44,10 @@ def ws_weighted_l1(x: Tensor, y: Tensor, weights) -> Tensor:
         warr = weights.as_array()
     else:
         warr = np.asarray(weights, dtype=np.float64)
-    if warr.shape != (h, w):
-        raise ValueError(f"weights shape {warr.shape} != frame {h}x{w}")
-    wt = Tensor(warr[None, None].astype(x.data.dtype))
-    num = ops.tsum(ops.mul(wt, ops.absolute(ops.sub(x, y))))
-    return ops.div(num, float(warr.sum() * n * c))
+    if warr.shape not in ((h, w), (n, h, w)):
+        raise ValueError(
+            f"weights shape {warr.shape} != frame {h}x{w} or {n}x{h}x{w}")
+    maps = warr.reshape(-1, h, w)
+    sums = maps.reshape(len(maps), -1).sum(axis=1)[:, None, None]
+    wt = Tensor((maps / (sums * n * c))[:, None].astype(x.data.dtype))
+    return ops.tsum(ops.mul(wt, ops.absolute(ops.sub(x, y))))

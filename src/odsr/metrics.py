@@ -39,9 +39,6 @@ class WeightMap:
         """Full (h, w) weight array (a broadcast view, do not mutate)."""
         return np.broadcast_to(self.rows[:, None], (self.height, self.width))
 
-    def total(self) -> float:
-        return float(self.rows.sum() * self.width)
-
 
 def _as_plane(x) -> np.ndarray:
     arr = np.asarray(x)

@@ -5,11 +5,12 @@ frozen dataclasses that know three things: their parameter table and
 output channel count (:meth:`specs`), their forward computation against a
 flat parameter dict, and their FLOP cost.  Each descriptor checks its input
 channels as the specs are walked, so a mis-wired builder fails at
-construction time rather than mid-forward.
+construction time rather than mid-forward.  Every activation outside the
+GELU gates is a leaky ReLU with the op's default slope of 0.1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from ..engine import ops
@@ -41,16 +42,6 @@ def _conv(x: Tensor, P: dict[str, Tensor], path: str, stride: int = 1,
           padding: int = 0, groups: int = 1) -> Tensor:
     return ops.conv2d(x, ops.ConvParams(
         P[f"{path}.w"], P.get(f"{path}.b"), stride, padding, groups))
-
-
-def _act(x: Tensor, kind: str, slope: float) -> Tensor:
-    if kind == "gelu":
-        return ops.gelu(x)
-    if kind == "lrelu":
-        return ops.leaky_relu(x, slope)
-    if kind == "relu":
-        return ops.relu(x)
-    raise ValueError(f"unknown activation kind {kind!r}")
 
 
 def run_layers(layers, x: Tensor, P: dict[str, Tensor], path: str) -> Tensor:
@@ -149,14 +140,13 @@ class ConvTranspose:
 
 @dataclass(frozen=True)
 class Act:
-    kind: str = "gelu"
-    slope: float = 0.1
+    """Leaky ReLU, slope 0.1."""
 
     def specs(self, c_in: int, path: str) -> tuple[list[ParamSpec], int]:
         return [], c_in
 
     def forward(self, x: Tensor, P, path: str) -> Tensor:
-        return _act(x, self.kind, self.slope)
+        return ops.leaky_relu(x)
 
     def flops(self, s: Shape) -> tuple[int, Shape]:
         return s.c * s.h * s.w, s
@@ -197,7 +187,6 @@ class RepeatChannels:
 @dataclass(frozen=True)
 class Grn:
     ch: int
-    is_norm: bool = field(default=True, init=False)
 
     def specs(self, c_in: int, path: str) -> tuple[list[ParamSpec], int]:
         _expect("Grn", self.ch, c_in)
@@ -211,33 +200,37 @@ class Grn:
         return 5 * s.c * s.h * s.w, s
 
 
+_SAFM_LEVELS = 4
+_CCM_EXPAND = 2
+_HEAD_KERNELS = (3, 5, 7)
+
+
 @dataclass(frozen=True)
 class Safm:
     """Spatially-adaptive feature modulation: multi-scale depthwise pyramid
     aggregated by a 1x1 conv, GELU-gated against the block input."""
 
     ch: int
-    levels: int = 4
 
     def __post_init__(self):
-        if self.ch % self.levels:
+        if self.ch % _SAFM_LEVELS:
             raise ValueError(
-                f"Safm channels {self.ch} not divisible by {self.levels}")
+                f"Safm channels {self.ch} not divisible by {_SAFM_LEVELS}")
 
     def specs(self, c_in: int, path: str) -> tuple[list[ParamSpec], int]:
         _expect("Safm", self.ch, c_in)
-        g = self.ch // self.levels
+        g = self.ch // _SAFM_LEVELS
         specs: list[ParamSpec] = []
-        for i in range(self.levels):
+        for i in range(_SAFM_LEVELS):
             specs.extend(_conv_specs(f"{path}.dw{i}", g, g, 3, groups=g))
         specs.extend(_conv_specs(f"{path}.aggr", self.ch, self.ch, 1))
         return specs, self.ch
 
     def forward(self, x: Tensor, P, path: str) -> Tensor:
-        g = self.ch // self.levels
+        g = self.ch // _SAFM_LEVELS
         h, w = x.shape[2], x.shape[3]
         outs = []
-        for i in range(self.levels):
+        for i in range(_SAFM_LEVELS):
             part = ops.slice_channels(x, i * g, (i + 1) * g)
             if i == 0:
                 y = _conv(part, P, f"{path}.dw0", padding=1, groups=g)
@@ -251,9 +244,9 @@ class Safm:
         return ops.mul(ops.gelu(aggr), x)
 
     def flops(self, s: Shape) -> tuple[int, Shape]:
-        g = s.c // self.levels
+        g = s.c // _SAFM_LEVELS
         total = 0
-        for i in range(self.levels):
+        for i in range(_SAFM_LEVELS):
             hh, ww = s.h // 2 ** i, s.w // 2 ** i
             total += 2 * 9 * g * hh * ww  # depthwise conv
             if i:
@@ -268,11 +261,10 @@ class Ccm:
     """Convolutional channel mixer: 3x3 expand (2x), GELU, 1x1 project."""
 
     ch: int
-    expand: int = 2
 
     def specs(self, c_in: int, path: str) -> tuple[list[ParamSpec], int]:
         _expect("Ccm", self.ch, c_in)
-        hidden = self.ch * self.expand
+        hidden = self.ch * _CCM_EXPAND
         return (_conv_specs(f"{path}.expand", self.ch, hidden, 3)
                 + _conv_specs(f"{path}.project", hidden, self.ch, 1),
                 self.ch)
@@ -282,7 +274,7 @@ class Ccm:
         return _conv(y, P, f"{path}.project")
 
     def flops(self, s: Shape) -> tuple[int, Shape]:
-        hidden = self.ch * self.expand
+        hidden = self.ch * _CCM_EXPAND
         total = 2 * 9 * self.ch * hidden * s.h * s.w
         total += hidden * s.h * s.w
         total += 2 * hidden * self.ch * s.h * s.w
@@ -328,7 +320,6 @@ class CspBlock:
     processed by two 3x3 convs, then a 1x1 transition fuses the stages."""
 
     ch: int
-    slope: float = 0.1
 
     def __post_init__(self):
         if self.ch % 2:
@@ -346,11 +337,10 @@ class CspBlock:
         half = self.ch // 2
         keep = ops.slice_channels(x, 0, half)
         y = ops.slice_channels(x, half, self.ch)
-        y = ops.leaky_relu(_conv(y, P, f"{path}.conv1", padding=1), self.slope)
-        y = ops.leaky_relu(_conv(y, P, f"{path}.conv2", padding=1), self.slope)
+        y = ops.leaky_relu(_conv(y, P, f"{path}.conv1", padding=1))
+        y = ops.leaky_relu(_conv(y, P, f"{path}.conv2", padding=1))
         merged = ops.concat_channels([keep, y])
-        return ops.leaky_relu(
-            _conv(merged, P, f"{path}.transition"), self.slope)
+        return ops.leaky_relu(_conv(merged, P, f"{path}.transition"))
 
     def flops(self, s: Shape) -> tuple[int, Shape]:
         half = self.ch // 2
@@ -370,33 +360,31 @@ class DownscaleHead:
 
     in_ch: int
     width: int
-    kernels: tuple[int, ...] = (3, 5, 7)
-    slope: float = 0.1
 
     def specs(self, c_in: int, path: str) -> tuple[list[ParamSpec], int]:
         _expect("DownscaleHead", self.in_ch, c_in)
         specs: list[ParamSpec] = []
-        for k in self.kernels:
+        for k in _HEAD_KERNELS:
             specs.extend(_conv_specs(f"{path}.k{k}", self.in_ch, self.width, k))
-        return specs, self.width * len(self.kernels)
+        return specs, self.width * len(_HEAD_KERNELS)
 
     def forward(self, x: Tensor, P, path: str) -> Tensor:
         outs = []
-        for k in self.kernels:
+        for k in _HEAD_KERNELS:
             y = _conv(x, P, f"{path}.k{k}", stride=2, padding=k // 2)
-            outs.append(ops.leaky_relu(y, self.slope))
+            outs.append(ops.leaky_relu(y))
         return ops.concat_channels(outs)
 
     def flops(self, s: Shape) -> tuple[int, Shape]:
         total = 0
         out_s = s
-        for k in self.kernels:
+        for k in _HEAD_KERNELS:
             p = k // 2
             oh = (s.h + 2 * p - k) // 2 + 1
             ow = (s.w + 2 * p - k) // 2 + 1
             total += 2 * self.in_ch * k * k * self.width * oh * ow
             total += self.width * oh * ow
-            out_s = Shape(self.width * len(self.kernels), oh, ow)
+            out_s = Shape(self.width * len(_HEAD_KERNELS), oh, ow)
         return total, out_s
 
 

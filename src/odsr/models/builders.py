@@ -32,14 +32,14 @@ def _check_scale(scale: int) -> None:
         raise ValueError(f"scale must be one of {_SCALES}, got {scale}")
 
 
-def build_ffcir(scale: int, channels: int = 36, n_blocks: int = 8) -> NetworkSpec:
+def build_ffcir(scale: int) -> NetworkSpec:
     """Fourier-convolution SR net: GRN-normalized shallow features, blocks of
     SAFM || FFC fused by a bias-free 1x1 conv plus a channel mixer, long
     skip, pixel-shuffle tail."""
     _check_scale(scale)
-    c = channels
+    c = 36
     body: list = []
-    for _ in range(n_blocks):
+    for _ in range(8):
         body.append(Residual((
             ParallelConcat((((Safm(c),)), ((Ffc(c),)))),
             Conv(2 * c, c, 1, bias=False),
@@ -56,26 +56,27 @@ def build_ffcir(scale: int, channels: int = 36, n_blocks: int = 8) -> NetworkSpe
     return NetworkSpec("ffcir", scale, layers, min_hw=8)
 
 
-def build_cspsr(scale: int, width: int = 64, n_blocks: int = 8) -> NetworkSpec:
+def build_cspsr(scale: int) -> NetworkSpec:
     """Cross-stage-partial SR net with a global residual over the blocks."""
     _check_scale(scale)
+    c = 64
     layers = (
-        Conv(3, width, 3, padding=1),
-        Residual(tuple(CspBlock(width) for _ in range(n_blocks))),
-        Conv(width, 3 * scale * scale, 3, padding=1),
+        Conv(3, c, 3, padding=1),
+        Residual(tuple(CspBlock(c) for _ in range(8))),
+        Conv(c, 3 * scale * scale, 3, padding=1),
         PixelShuffle(scale),
     )
     return NetworkSpec("cspsr", scale, layers)
 
 
-def build_vacv(scale: int, channels: int = 44, n_blocks: int = 8) -> NetworkSpec:
+def build_vacv(scale: int) -> NetworkSpec:
     """SAFM/CCM net whose tail repeats features scale^2 times before the
     shuffle (equivalent to nearest-upsampling each feature map), with a
     nearest-upsampled global input residual."""
     _check_scale(scale)
-    c = channels
+    c = 44
     body: list = [Conv(3, c, 3, padding=1)]
-    for _ in range(n_blocks):
+    for _ in range(8):
         body.append(Residual((Safm(c),)))
         body.append(Residual((Ccm(c),)))
     body.extend([
@@ -88,16 +89,17 @@ def build_vacv(scale: int, channels: int = 44, n_blocks: int = 8) -> NetworkSpec
                    min_hw=8)
 
 
-def build_athena(scale: int, width: int = 21) -> NetworkSpec:
+def build_athena(scale: int) -> NetworkSpec:
     """Multi-kernel strided head (halves resolution), two residual body
     convs, and a pixel-shuffle tail at 2*scale to recover the half."""
     _check_scale(scale)
+    width = 21
     c = width * 3
     r = 2 * scale
     layers = (
         DownscaleHead(3, width),
-        Residual((Conv(c, c, 3, padding=1), Act("lrelu"))),
-        Residual((Conv(c, c, 3, padding=1), Act("lrelu"))),
+        Residual((Conv(c, c, 3, padding=1), Act())),
+        Residual((Conv(c, c, 3, padding=1), Act())),
         Conv(c, 3 * r * r, 3, padding=1),
         PixelShuffle(r),
     )
@@ -105,16 +107,16 @@ def build_athena(scale: int, width: int = 21) -> NetworkSpec:
     return NetworkSpec("athena", scale, layers, hw_multiple=2)
 
 
-def build_fsrcnn(scale: int, d: int = 56, s: int = 12, m: int = 4) -> NetworkSpec:
-    """FSRCNN baseline (RGB in/out): feature, shrink, m mapping layers,
+def build_fsrcnn(scale: int) -> NetworkSpec:
+    """FSRCNN baseline (RGB in/out): feature, shrink, four mapping layers,
     expand, transposed-conv upscale."""
     _check_scale(scale)
-    layers: list = [Conv(3, d, 5, padding=2), Act("lrelu"),
-                    Conv(d, s, 1), Act("lrelu")]
-    for _ in range(m):
-        layers.extend([Conv(s, s, 3, padding=1), Act("lrelu")])
+    d, s = 56, 12
+    layers: list = [Conv(3, d, 5, padding=2), Act(), Conv(d, s, 1), Act()]
+    for _ in range(4):
+        layers.extend([Conv(s, s, 3, padding=1), Act()])
     layers.extend([
-        Conv(s, d, 1), Act("lrelu"),
+        Conv(s, d, 1), Act(),
         ConvTranspose(d, 3, 9, stride=scale, padding=4,
                       output_padding=scale - 1),
     ])

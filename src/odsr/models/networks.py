@@ -131,9 +131,5 @@ class Network:
                 f"got {h}x{w}")
         return blocks.run_layers(self.spec.layers, x, self.params, "net")
 
-    def astype(self, dtype) -> "Network":
-        return Network(self.spec, {k: v.astype(dtype)
-                                   for k, v in self.params.items()})
-
     def replace_params(self, params: dict[str, Tensor]) -> "Network":
         return Network(self.spec, params)

@@ -98,18 +98,3 @@ def resize_image(img: np.ndarray, out_hw: tuple[int, int],
     if img.dtype == np.uint8:
         return np.floor(np.clip(out, 0, 255) + 0.5).astype(np.uint8)
     return out
-
-
-def bicubic_upscale(img: np.ndarray, scale: int) -> np.ndarray:
-    """Catmull-Rom upscale by an integer factor."""
-    oh, ow = img.shape[0] * scale, img.shape[1] * scale
-    return resize_image(img, (oh, ow), "cubic")
-
-
-def bicubic_downscale(img: np.ndarray, scale: int) -> np.ndarray:
-    """Antialiased Catmull-Rom downscale by an integer factor."""
-    if img.shape[0] % scale or img.shape[1] % scale:
-        raise ValueError(
-            f"image {img.shape[:2]} not divisible by scale {scale}")
-    oh, ow = img.shape[0] // scale, img.shape[1] // scale
-    return resize_image(img, (oh, ow), "cubic")

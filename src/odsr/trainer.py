@@ -16,8 +16,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import harness
+from .engine import ops
 from .engine.tensor import Tape, Tensor, backward
-from .losses import charbonnier_loss, fft_loss
+from .losses import charbonnier_loss, fft_loss, ws_weighted_l1
 from .metrics import WeightMap, mse_to_db, ws_mse
 from .models import blocks
 from .models.networks import Network
@@ -41,7 +42,6 @@ class TrainConfig:
     mixup: bool = False
     mixup_alpha: float = 1.2
     fft_weight: float = 0.1
-    charb_eps: float = 1e-3
     decay_every: int = 0
     decay_factor: float = 0.1
 
@@ -67,6 +67,9 @@ def lr_at(cfg: TrainConfig, step: int) -> float:
 
 # -- optimizer ----------------------------------------------------------------
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators, updated in place by adam_step."""
@@ -74,17 +77,11 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: dict[str, Tensor]) -> "AdamState":
         return cls(m={k: np.zeros_like(t.data) for k, t in params.items()},
                    v={k: np.zeros_like(t.data) for k, t in params.items()})
-
-    def touched_elements(self) -> int:
-        return sum(a.size for a in self.m.values())
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
@@ -95,18 +92,18 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         raise ValueError(f"gradients missing for {missing[:4]}")
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - _BETA1 ** t
+    c2 = 1.0 - _BETA2 ** t
     out = {}
     for name, tensor in params.items():
         g = grads[name].astype(tensor.dtype, copy=False)
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        step_arr = (lr / c1) * m / (np.sqrt(v / c2) + state.eps)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * (g * g)
+        step_arr = (lr / c1) * m / (np.sqrt(v / c2) + _EPS)
         out[name] = Tensor(tensor.data - step_arr.astype(tensor.dtype))
     return out
 
@@ -159,10 +156,8 @@ def degrade(hr_chw: np.ndarray, scale: int) -> np.ndarray:
 
 
 def sample_patch(hr_chw: np.ndarray, scale: int, patch: int,
-                 rng: np.random.Generator,
-                 lr_chw: np.ndarray | None = None) -> PatchPair:
-    """Draw one aligned pair; LR comes from ``lr_chw`` when provided, else
-    from degrading the HR crop."""
+                 rng: np.random.Generator) -> PatchPair:
+    """Draw one aligned pair; LR comes from degrading the HR crop."""
     _, h, w = hr_chw.shape
     if h % scale or w % scale:
         raise ValueError(f"frame {h}x{w} not divisible by scale {scale}")
@@ -173,14 +168,7 @@ def sample_patch(hr_chw: np.ndarray, scale: int, patch: int,
     left = int(rng.integers(0, lw - patch + 1))
     hr = hr_chw[:, top * scale:(top + patch) * scale,
                 left * scale:(left + patch) * scale].astype(np.float32)
-    if lr_chw is not None:
-        if lr_chw.shape[1:] != (lh, lw):
-            raise ValueError(
-                f"LR frame {lr_chw.shape[1:]} does not match HR/{scale}")
-        lr = lr_chw[:, top:top + patch, left:left + patch].astype(np.float32)
-    else:
-        lr = degrade(hr, scale)
-    return PatchPair(lr, hr, top, left, (h, w))
+    return PatchPair(degrade(hr, scale), hr, top, left, (h, w))
 
 
 def augment_pair(pair: PatchPair, rng: np.random.Generator,
@@ -231,37 +219,16 @@ class TrainResult:
     config: TrainConfig
 
 
-def _batch_ws_l1(pred: Tensor, target: Tensor,
-                 pairs: Sequence[PatchPair]) -> Tensor:
-    """Per-sample latitude-weighted L1, averaged over the batch.
-
-    The per-sample normalization 1 / (n * c * sum(w_i)) is folded into a
-    constant weight tensor, so a single weighted sum does the whole job.
-    """
-    n, c, h, w = pred.shape
-    wfull = np.empty((n, 1, h, w), dtype=np.float32)
-    for i, pair in enumerate(pairs):
-        wmap = patch_weights(pair)
-        wfull[i, 0] = wmap / (wmap.sum() * n * c)
-    from .engine import ops
-
-    return ops.tsum(ops.mul(Tensor(wfull), ops.absolute(
-        ops.sub(pred, target))))
-
-
 def make_loss(cfg: TrainConfig) -> Callable:
     """(pred, target, pairs) -> scalar loss tensor for the configured loss."""
     if cfg.loss == "charbonnier":
-        return lambda p, t, pairs: charbonnier_loss(p, t, cfg.charb_eps)
+        return lambda p, t, pairs: charbonnier_loss(p, t)
     if cfg.loss == "charbonnier+fft":
-        def combined(p, t, pairs):
-            from .engine import ops
-
-            return ops.add(charbonnier_loss(p, t, cfg.charb_eps),
-                           ops.mul(fft_loss(p, t),
-                                   np.float32(cfg.fft_weight)))
-        return combined
-    return _batch_ws_l1
+        return lambda p, t, pairs: ops.add(
+            charbonnier_loss(p, t),
+            ops.mul(fft_loss(p, t), np.float32(cfg.fft_weight)))
+    return lambda p, t, pairs: ws_weighted_l1(
+        p, t, np.stack([patch_weights(q) for q in pairs]))
 
 
 def train(net: Network, frames: Sequence, cfg: TrainConfig,

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from odsr import cli, media
+from odsr import cli, media, trainer
 from odsr.engine.tensor import Tensor
 from odsr.models import checkpoint
 
@@ -296,6 +296,21 @@ class TestTrain:
             "--checkpoint", str(ckpt))
         assert code == 2
         assert "'w'" in err
+
+    def test_unset_flags_leave_train_config_defaults(self, capsys,
+                                                     monkeypatch):
+        seen = []
+        real_train = trainer.train
+
+        def spy(net, frames, cfg):
+            seen.append(cfg)
+            return real_train(net, frames, cfg)
+
+        monkeypatch.setattr(trainer, "train", spy)
+        code, _, _ = run_cli(capsys, "train", "--model", "fsrcnn",
+                             "--scale", "2", "--iterations", "1")
+        assert code == 0
+        assert seen == [trainer.TrainConfig(iterations=1)]
 
     def test_bad_loss_name(self, capsys):
         code, _, err = run_cli(capsys, "train", "--model", "fsrcnn",

@@ -1,4 +1,9 @@
 """Forward-path oracles for the tensor ops (numpy/scipy references)."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -354,3 +359,15 @@ class TestTape:
         g = np.zeros((1, 4, 1, 1))
         out = ops.grn(Tensor(x), Tensor(g), Tensor(g.copy()))
         np.testing.assert_allclose(out.data, x, atol=1e-12)
+
+    def test_tensor_module_alone_brings_arithmetic(self):
+        # a fresh interpreter, so no other test has imported ops already
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import numpy as np\n"
+                "from odsr.engine.tensor import Tensor\n"
+                "print((Tensor(np.ones(2)) + 1).data.tolist())")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "[2.0, 2.0]"

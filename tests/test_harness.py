@@ -7,6 +7,7 @@ import pytest
 
 from odsr import harness, media, score
 from odsr.engine.tensor import Tensor
+from odsr.models import resample
 
 
 class SleepStub:
@@ -66,15 +67,10 @@ class TestMeasureRuntime:
         assert sample.out_hw == (12, 12)
 
     def test_summary_helper(self):
-        med, cv = harness.summarize_runtime([0.005, 0.006, 0.1])
-        assert med == 0.006
-        assert cv > 1.0  # the outlier shows in spread, not location
-
-    def test_summary_helper_agrees_with_sample(self):
-        seconds = (0.005, 0.006, 0.1, 0.004)
-        sample = harness.RuntimeSample(seconds, (1, 1), (2, 2))
-        assert harness.summarize_runtime(seconds) == (sample.median, sample.cv)
-        assert harness.summarize_runtime([0.5]) == (0.5, 0.0)
+        sample = harness.RuntimeSample((0.005, 0.006, 0.1), (1, 1), (2, 2))
+        assert sample.median == 0.006
+        assert sample.cv > 1.0  # the outlier shows in spread, not location
+        assert harness.RuntimeSample((0.5,), (1, 1), (2, 2)).cv == 0.0
 
 
 class TestModels:
@@ -90,6 +86,16 @@ class TestModels:
             (1, 3, 5, 7), dtype=np.float32)))
         assert y.shape == (1, 3, 20, 28)
         assert model.scale == 4 and model.name == "lanczos4"
+        # the whole stack resizes in one call, bitwise as plane by plane
+        x = np.random.default_rng(3).random((2, 3, 9, 13), dtype=np.float32)
+        for name, kernel in (("bicubic", "cubic"), ("lanczos4", "lanczos4")):
+            got = harness.make_model(name, 2)(Tensor(x)).data
+            want = np.stack([[np.clip(resample.resize_plane(
+                plane.astype(np.float64), (18, 26), kernel).astype(
+                np.float32), 0.0, 1.0) for plane in planes] for planes in x])
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got.view(np.int32),
+                                          want.view(np.int32))
 
     def test_unknown_model(self):
         with pytest.raises(ValueError):

@@ -124,6 +124,18 @@ class TestWsWeightedL1:
         check_gradients(
             lambda x, y: losses.ws_weighted_l1(x, y, wm), [a, b])
 
+    def test_one_map_per_sample(self):
+        rng = np.random.default_rng(11)
+        a = rng.random((3, 2, 6, 5))
+        b = rng.random((3, 2, 6, 5))
+        maps = rng.random((3, 6, 5)) + 0.1
+        got = losses.ws_weighted_l1(t4(a), t4(b), maps).data
+        want = np.mean([(maps[i] * np.abs(a[i] - b[i])).sum()
+                        / (2 * maps[i].sum()) for i in range(3)])
+        assert got == pytest.approx(want, rel=1e-12)
+        with pytest.raises(ValueError):
+            losses.ws_weighted_l1(t4(a), t4(b), maps[:2])
+
     def test_wrong_weight_shape(self):
         with pytest.raises(ValueError):
             losses.ws_weighted_l1(t4(np.zeros((1, 1, 4, 4))),

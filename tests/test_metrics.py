@@ -95,10 +95,6 @@ class TestWeightMap:
         assert (wm.rows > 0).all()
         assert wm.rows.argmax() == 16
 
-    def test_total_matches_full_array(self):
-        wm = metrics.WeightMap.for_frame(17, 29)
-        assert wm.total() == pytest.approx(wm.as_array().sum(), rel=1e-12)
-
     def test_invalid_dims(self):
         with pytest.raises(ValueError):
             metrics.WeightMap.for_frame(0, 8)

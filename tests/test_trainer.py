@@ -72,11 +72,6 @@ class TestAdam:
         with pytest.raises(ValueError, match="missing"):
             trainer.adam_step(params, {"w": np.zeros((3, 4))}, state, 0.01)
 
-    def test_touched_elements_counts_every_parameter(self):
-        net = tiny_net()
-        state = trainer.AdamState.for_params(net.params)
-        assert state.touched_elements() == networks.count_params(net.spec)
-
 
 class TestSchedule:
     def test_constant_without_decay(self):
@@ -123,23 +118,14 @@ class TestPatchPipeline:
             pair.lr, lr_full[:, pair.top:pair.top + 16,
                              pair.left:pair.left + 16])
 
-    def test_explicit_lr_input_is_cropped_not_synthesized(self):
-        rng = np.random.default_rng(5)
-        hr = rng.random((3, 32, 32)).astype(np.float32)
-        lr = rng.random((3, 16, 16)).astype(np.float32)
-        pair = trainer.sample_patch(hr, 2, 8, rng, lr_chw=lr)
-        np.testing.assert_array_equal(
-            pair.lr, lr[:, pair.top:pair.top + 8, pair.left:pair.left + 8])
-
     def test_offsets_cover_the_frame_uniformly(self):
         rng = np.random.default_rng(6)
         hr = np.zeros((1, 40, 40), dtype=np.float32)
-        lr = np.zeros((1, 20, 20), dtype=np.float32)
         positions = 20 - 8 + 1  # valid tops for an 8px patch in 20px
         counts = np.zeros(positions)
         n = 4000
         for _ in range(n):
-            pair = trainer.sample_patch(hr, 2, 8, rng, lr_chw=lr)
+            pair = trainer.sample_patch(hr, 2, 8, rng)
             counts[pair.top] += 1
         _, p = stats.chisquare(counts)
         assert p > 0.01, f"offset distribution non-uniform, p={p:.4f}"
