@@ -28,7 +28,7 @@ def main():
         db = np.mean([metrics.ws_mse(hr.rgb()[..., c].astype(float),
                                      out.rgb()[..., c].astype(float))
                       for c in range(3)])
-        entries.append(harness.LeaderboardEntry(
+        entries.append(score.LeaderboardEntry(
             team=name, scale=scale,
             ws_psnr=metrics.mse_to_db(float(db)),
             ws_ssim=metrics.ws_ssim(hr.y().astype(float),

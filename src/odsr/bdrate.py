@@ -101,11 +101,17 @@ def bd_quality(anchor: RDCurve, test: RDCurve) -> float:
 
 def read_rd_csv(text: str) -> RDCurve:
     """Parse a curve from CSV with a ``bitrate,quality`` header."""
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or \
-            [f.strip() for f in reader.fieldnames] != ["bitrate", "quality"]:
-        raise ValueError(
-            f"RD CSV must have header 'bitrate,quality', "
-            f"got {reader.fieldnames}")
-    pairs = [(row["bitrate"], row["quality"]) for row in reader]
+    reader = csv.reader(io.StringIO(text))
+    rows = (row for row in reader if row)  # blank lines carry no point
+    pairs = []
+    try:
+        header = [f.strip() for f in next(rows, [])]
+        if header != ["bitrate", "quality"]:
+            raise ValueError(f"header must be 'bitrate,quality', got {header}")
+        for row in rows:
+            if len(row) != 2:
+                raise ValueError(f"expected 2 cells, got {len(row)}")
+            pairs.append((float(row[0]), float(row[1])))
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"RD CSV line {reader.line_num}: {exc}") from None
     return curve(pairs)

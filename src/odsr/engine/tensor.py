@@ -80,20 +80,13 @@ class Node:
 _ACTIVE = threading.local()
 
 
-def _tape_stack() -> list:
-    stack = getattr(_ACTIVE, "stack", None)
-    if stack is None:
-        stack = []
-        _ACTIVE.stack = stack
-    return stack
-
-
 class Tape:
     """Records ops executed under ``with Tape() as tape:`` for backward().
 
     A tape is single-owner: it must be used from the thread that opened it.
-    Independent tapes on different threads do not interact (the active-tape
-    stack is thread-local).
+    Each thread records on at most one tape at a time, so entering a second
+    tape on a thread raises RuntimeError rather than hiding the inner ops
+    from the outer tape.  Tapes on different threads do not interact.
     """
 
     def __init__(self):
@@ -103,15 +96,14 @@ class Tape:
     def __enter__(self) -> "Tape":
         if self._entered:
             raise RuntimeError("Tape is single-use; create a new one")
+        if active_tape() is not None:
+            raise RuntimeError("another tape is recording on this thread")
         self._entered = True
-        _tape_stack().append(self)
+        _ACTIVE.tape = self
         return self
 
     def __exit__(self, *exc) -> None:
-        stack = _tape_stack()
-        if not stack or stack[-1] is not self:
-            raise RuntimeError("Tape exited out of order")
-        stack.pop()
+        _ACTIVE.tape = None
 
     def record(self, inputs: tuple[Tensor, ...], out: Tensor,
                vjp: Callable[[np.ndarray], tuple]) -> None:
@@ -119,8 +111,7 @@ class Tape:
 
 
 def active_tape() -> Tape | None:
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return getattr(_ACTIVE, "tape", None)
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Tensor]:

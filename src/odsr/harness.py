@@ -23,7 +23,7 @@ from . import metrics as qm
 from .engine.tensor import Tensor
 from .media import FrameBuffer, rgb_to_yuv420, yuv420_to_rgb
 from .models import builders, checkpoint, networks, resample
-from .score import ScoreParams, q_score
+from .score import LeaderboardEntry, ScoreParams
 
 # -- models -----------------------------------------------------------------
 
@@ -262,34 +262,6 @@ _LB_FIELDS = ("team", "scale", "ws_psnr", "ws_ssim", "runtime_s",
               "bd_br_pct", "g_flops", "params_k")
 
 
-@dataclass(frozen=True)
-class LeaderboardEntry:
-    """One measured leaderboard row.  Q is never stored; it is recomputed
-    from (ws_psnr, runtime_s) with the active score parameters."""
-
-    team: str
-    scale: int
-    ws_psnr: float
-    ws_ssim: float | None = None
-    runtime_s: float | None = None
-    bd_br_pct: float | None = None
-    g_flops: float | None = None
-    params_k: float | None = None
-
-    def q(self, params: ScoreParams) -> float | None:
-        if self.runtime_s is None:
-            return None
-        return q_score(self.ws_psnr, self.runtime_s, params)
-
-
-def entries_from_published(scale: int) -> list[LeaderboardEntry]:
-    from .score import published_results
-
-    return [LeaderboardEntry(r.team, r.scale, r.ws_psnr, r.ws_ssim,
-                             r.runtime_s, r.bd_br_pct, r.g_flops, r.params_k)
-            for r in published_results(scale)]
-
-
 def rank_entries(entries, params: ScoreParams) -> list[LeaderboardEntry]:
     """Q descending; ties break toward lower runtime; unscored rows last."""
     entries = list(entries)
@@ -340,15 +312,11 @@ def emit_leaderboard_csv(entries, params: ScoreParams) -> str:
     writer.writerow(_LB_FIELDS + ("q",))
     for e in ranked:
         q = e.q(params)
-        writer.writerow([
-            e.team, e.scale, repr(e.ws_psnr),
-            "" if e.ws_ssim is None else repr(e.ws_ssim),
-            "" if e.runtime_s is None else repr(e.runtime_s),
-            "" if e.bd_br_pct is None else repr(e.bd_br_pct),
-            "" if e.g_flops is None else repr(e.g_flops),
-            "" if e.params_k is None else repr(e.params_k),
-            "" if q is None else f"{q:.6f}",
-        ])
+        writer.writerow(
+            [e.team, e.scale]
+            + ["" if v is None else repr(v)
+               for v in (getattr(e, f) for f in _LB_FIELDS[2:])]
+            + ["" if q is None else f"{q:.6f}"])
     return out.getvalue()
 
 
@@ -356,20 +324,19 @@ def parse_leaderboard_csv(text: str) -> list[LeaderboardEntry]:
     """Inverse of :func:`emit_leaderboard_csv` (the q column is derived,
     so it is ignored on input)."""
     reader = csv.DictReader(io.StringIO(text))
-    need = set(_LB_FIELDS)
-    have = set(reader.fieldnames or ())
-    if not need <= have:
-        raise ValueError(f"leaderboard CSV missing columns "
-                         f"{sorted(need - have)}")
     entries = []
-    for row in reader:
-        def opt(key):
-            val = row[key].strip()
-            return None if val == "" else float(val)
-
-        entries.append(LeaderboardEntry(
-            team=row["team"], scale=int(row["scale"]),
-            ws_psnr=float(row["ws_psnr"]), ws_ssim=opt("ws_ssim"),
-            runtime_s=opt("runtime_s"), bd_br_pct=opt("bd_br_pct"),
-            g_flops=opt("g_flops"), params_k=opt("params_k")))
+    try:
+        missing = set(_LB_FIELDS) - set(reader.fieldnames or ())
+        if missing:
+            raise ValueError(f"missing columns {sorted(missing)}")
+        for row in reader:
+            if None in row or None in row.values():
+                raise ValueError(f"expected {len(reader.fieldnames)} cells")
+            entries.append(LeaderboardEntry(
+                row["team"], int(row["scale"]), float(row["ws_psnr"]),
+                *(float(row[f]) if row[f].strip() else None
+                  for f in _LB_FIELDS[3:])))
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(
+            f"leaderboard CSV line {reader.reader.line_num}: {exc}") from None
     return entries

@@ -84,17 +84,3 @@ def resize_plane(plane: np.ndarray, out_hw: tuple[int, int],
     # plane exactly as a lone 2-D call would
     return mh @ np.ascontiguousarray(plane, dtype=np.float64) @ mw.T
 
-
-def resize_image(img: np.ndarray, out_hw: tuple[int, int],
-                 kernel: str = "cubic", antialias: bool = True) -> np.ndarray:
-    """Resize HxW or HxWxC.  uint8 input returns clipped/rounded uint8."""
-    if img.ndim == 2:
-        out = resize_plane(img, out_hw, kernel, antialias)
-    elif img.ndim == 3:
-        out = np.ascontiguousarray(np.moveaxis(resize_plane(
-            np.moveaxis(img, -1, 0), out_hw, kernel, antialias), 0, -1))
-    else:
-        raise ValueError(f"expected HxW or HxWxC image, got {img.shape}")
-    if img.dtype == np.uint8:
-        return np.floor(np.clip(out, 0, 255) + 0.5).astype(np.uint8)
-    return out

@@ -89,43 +89,50 @@ def score_surface_csv(params: ScoreParams, psnr_values,
 
 
 @dataclass(frozen=True)
-class PublishedResult:
-    """One row of the published challenge test-set leaderboard."""
+class LeaderboardEntry:
+    """One leaderboard row, published or measured.  Q is never stored; it
+    is recomputed from (ws_psnr, runtime_s) with the active score
+    parameters.  ``q_printed`` is the Q a published row was printed with."""
 
     team: str
     scale: int
     ws_psnr: float
-    ws_ssim: float
-    runtime_s: float | None
-    q_printed: float | None
-    bd_br_pct: float | None
-    g_flops: float | None
-    params_k: float | None
+    ws_ssim: float | None = None
+    runtime_s: float | None = None
+    bd_br_pct: float | None = None
+    g_flops: float | None = None
+    params_k: float | None = None
+    q_printed: float | None = None
+
+    def q(self, params: ScoreParams) -> float | None:
+        if self.runtime_s is None:
+            return None
+        return q_score(self.ws_psnr, self.runtime_s, params)
 
 
-CHALLENGE_RESULTS: tuple[PublishedResult, ...] = (
-    PublishedResult("VACV", 2, 29.589, 0.8217, 0.0057, 81.25, -15.32, 45.641, 315.120),
-    PublishedResult("ATHENA", 2, 29.422, 0.8177, 0.0009, 79.03, -14.62, 15.340, 105.216),
-    PublishedResult("IVCL", 2, 29.645, 0.8219, 0.0298, 58.26, -16.91, 122.297, 212.652),
-    PublishedResult("FFCIR", 2, 29.761, 0.8224, 0.0420, 45.61, -17.85, 216.608, 383.124),
-    PublishedResult("FSRCNN", 2, 29.280, 0.8149, 0.0042, 77.14, -9.88, 38.102, 24.683),
-    PublishedResult("RT4KSR", 2, 29.367, 0.8192, 0.0046, 78.29, -14.11, 22.423, 151.992),
-    PublishedResult("SwinIR", 2, 29.761, 0.8250, 1.5232, 13.53, -18.01, 544.667, 910.152),
-    PublishedResult("Lanczos", 2, 28.797, 0.8110, None, None, -1.04, None, None),
-    PublishedResult("Bicubic", 2, 28.743, 0.8117, None, None, 0.0, None, None),
-    PublishedResult("FFCIR", 4, 29.083, 0.8090, 0.0120, 79.25, -42.82, 55.857, 394.824),
-    PublishedResult("IVCL", 4, 28.920, 0.8061, 0.0050, 75.57, -38.78, 33.409, 232.128),
-    PublishedResult("VACV", 4, 28.918, 0.8047, 0.0058, 75.52, -38.76, 45.641, 315.120),
-    PublishedResult("ATHENA", 4, 28.425, 0.7960, 0.0004, 64.37, -26.77, 6.858, 188.160),
-    PublishedResult("FSRCNN", 4, 28.317, 0.7912, 0.0010, 61.92, -12.51, 33.334, 24.683),
-    PublishedResult("RT4KSR", 4, 28.602, 0.7991, 0.0032, 68.37, -32.97, 6.739, 183.240),
-    PublishedResult("SwinIR", 4, 29.065, 0.8099, 0.4458, 28.85, -41.12, 136.167, 929.628),
-    PublishedResult("Lanczos", 4, 27.795, 0.7814, None, None, -3.96, None, None),
-    PublishedResult("Bicubic", 4, 27.790, 0.7831, None, None, 0.0, None, None),
+CHALLENGE_RESULTS: tuple[LeaderboardEntry, ...] = (
+    LeaderboardEntry("VACV", 2, 29.589, 0.8217, 0.0057, -15.32, 45.641, 315.120, 81.25),
+    LeaderboardEntry("ATHENA", 2, 29.422, 0.8177, 0.0009, -14.62, 15.340, 105.216, 79.03),
+    LeaderboardEntry("IVCL", 2, 29.645, 0.8219, 0.0298, -16.91, 122.297, 212.652, 58.26),
+    LeaderboardEntry("FFCIR", 2, 29.761, 0.8224, 0.0420, -17.85, 216.608, 383.124, 45.61),
+    LeaderboardEntry("FSRCNN", 2, 29.280, 0.8149, 0.0042, -9.88, 38.102, 24.683, 77.14),
+    LeaderboardEntry("RT4KSR", 2, 29.367, 0.8192, 0.0046, -14.11, 22.423, 151.992, 78.29),
+    LeaderboardEntry("SwinIR", 2, 29.761, 0.8250, 1.5232, -18.01, 544.667, 910.152, 13.53),
+    LeaderboardEntry("Lanczos", 2, 28.797, 0.8110, None, -1.04, None, None, None),
+    LeaderboardEntry("Bicubic", 2, 28.743, 0.8117, None, 0.0, None, None, None),
+    LeaderboardEntry("FFCIR", 4, 29.083, 0.8090, 0.0120, -42.82, 55.857, 394.824, 79.25),
+    LeaderboardEntry("IVCL", 4, 28.920, 0.8061, 0.0050, -38.78, 33.409, 232.128, 75.57),
+    LeaderboardEntry("VACV", 4, 28.918, 0.8047, 0.0058, -38.76, 45.641, 315.120, 75.52),
+    LeaderboardEntry("ATHENA", 4, 28.425, 0.7960, 0.0004, -26.77, 6.858, 188.160, 64.37),
+    LeaderboardEntry("FSRCNN", 4, 28.317, 0.7912, 0.0010, -12.51, 33.334, 24.683, 61.92),
+    LeaderboardEntry("RT4KSR", 4, 28.602, 0.7991, 0.0032, -32.97, 6.739, 183.240, 68.37),
+    LeaderboardEntry("SwinIR", 4, 29.065, 0.8099, 0.4458, -41.12, 136.167, 929.628, 28.85),
+    LeaderboardEntry("Lanczos", 4, 27.795, 0.7814, None, -3.96, None, None, None),
+    LeaderboardEntry("Bicubic", 4, 27.790, 0.7831, None, 0.0, None, None, None),
 )
 
 
-def published_results(scale: int | None = None) -> list[PublishedResult]:
+def published_results(scale: int | None = None) -> list[LeaderboardEntry]:
     rows = [r for r in CHALLENGE_RESULTS
             if scale is None or r.scale == scale]
     if not rows:
@@ -133,8 +140,8 @@ def published_results(scale: int | None = None) -> list[PublishedResult]:
     return rows
 
 
-def _fit_two_point(p1: PublishedResult,
-                   p2: PublishedResult) -> tuple[float, float]:
+def _fit_two_point(p1: LeaderboardEntry,
+                   p2: LeaderboardEntry) -> tuple[float, float]:
     """Solve (psnr_min, psnr_max) from two sub-threshold rows with C = 1."""
     qh1 = p1.q_printed / 100.0 * 2.0 - 1.0
     qh2 = p2.q_printed / 100.0 * 2.0 - 1.0

@@ -203,7 +203,7 @@ def test_criterion_8_media_round_trips(acceptance_log):
 def test_criterion_9_ranking_reproduction(acceptance_log):
     with criterion(acceptance_log, 9,
                    "published x4 pairs reproduce the challenge rank order"):
-        entries = harness.entries_from_published(4)
+        entries = score.published_results(4)
         params = score.ScoreParams.for_scale(4)
         ranked = harness.rank_entries(entries, params)
         teams = [e.team for e in ranked

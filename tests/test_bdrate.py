@@ -102,6 +102,12 @@ class TestCsv:
         with pytest.raises(ValueError):
             bdrate.read_rd_csv("rate,psnr\n1,30\n2,33\n4,36\n8,39\n")
 
+    @pytest.mark.parametrize("row", ["2000", "2000,33,9"])
+    def test_row_with_wrong_cell_count_names_line(self, row):
+        text = f"bitrate,quality\n1000,30\n{row}\n4000,36\n8000,39\n"
+        with pytest.raises(ValueError, match="line 3"):
+            bdrate.read_rd_csv(text)
+
     def test_whitespace_tolerated(self):
         text = "bitrate,quality\n 1000 , 30\n2000,33\n4000,36\n8000,39\n"
         c = bdrate.read_rd_csv(text)

@@ -1,4 +1,6 @@
 """Command line interface: subcommands, config files, exit codes."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -95,9 +97,37 @@ class TestConfigFile:
                                str(tmp_path / "nope.cfg"))
         assert code == 2
 
+    def test_config_value_gets_the_flag_checks(self, capsys, tmp_path):
+        src = tmp_path / "in"
+        write_clip(src, frames=1, hw=(16, 24))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scale = 3\n")
+        dst = tmp_path / "out"
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg),
+                               "--model", "bicubic", "--input", str(src),
+                               "--out", str(dst))
+        assert code == 2
+        assert "--scale" in err
+        assert not dst.exists()
+
+    def test_other_subcommands_keys_ignored(self, capsys, tmp_path):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("iterations = 5\nws-psnr = 31.0\nruntime = 0.010\n")
+        code, out, _ = run_cli(capsys, "score-q", "--config", str(cfg))
+        assert code == 0
+        assert out.strip() == "100.00"
+
 
 class TestBdrate:
     CURVE_A = "bitrate,quality\n1000,30\n2000,33\n4000,36\n8000,39\n"
+
+    def test_short_row_is_validation_error(self, capsys, tmp_path):
+        a = tmp_path / "a.csv"
+        a.write_text("bitrate,quality\n1000,30\n2000\n4000,36\n8000,39\n")
+        code, _, err = run_cli(capsys, "bdrate", "--anchor", str(a),
+                               "--test", str(a))
+        assert code == 2
+        assert "line 3" in err
 
     def curve_paths(self, tmp_path, factor):
         a = tmp_path / "a.csv"
@@ -146,6 +176,13 @@ class TestParamsAndFlops:
         assert lines[-1].startswith("total,")
         assert any(line.split(",")[0].startswith("net.") for line in lines)
 
+    def test_detail_takes_a_bool(self, capsys):
+        _, plain, _ = run_cli(capsys, "params", "--model", "fsrcnn",
+                              "--scale", "2")
+        _, no, _ = run_cli(capsys, "params", "--model", "fsrcnn",
+                           "--scale", "2", "--detail", "no")
+        assert no == plain
+
     def test_flops_line(self, capsys):
         code, out, _ = run_cli(capsys, "flops", "--model", "athena",
                                "--scale", "4", "--height", "270",
@@ -160,6 +197,34 @@ class TestParamsAndFlops:
 
 
 class TestLeaderboard:
+    # stdout of `odsr leaderboard --published SCALE --format FORMAT`
+    PUBLISHED_SHA256 = {
+        (2, "csv"): "ca74526937b00969995a6fb09efa01ef"
+                    "2671e3cb025e354e9f78c4e302e56e9a",
+        (2, "markdown"): "afdfb29f7fe25ec2781ba29ff05b2b1c"
+                         "601ecec55ce6c08bc0899e7fbfa5e631",
+        (4, "csv"): "06e9493765173f11223b8acd5fca8cc6"
+                    "4897d0eb4d4b90458741abbf4a2d0308",
+        (4, "markdown"): "e44785de45956ae89849d30b908fd108"
+                         "cdf30be6eac3bf87adccf1b9feefa7fc",
+    }
+
+    @pytest.mark.parametrize("scale,fmt", sorted(PUBLISHED_SHA256))
+    def test_published_output_pinned(self, capsys, scale, fmt):
+        code, out, _ = run_cli(capsys, "leaderboard", "--published",
+                               str(scale), "--format", fmt)
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == self.PUBLISHED_SHA256[scale, fmt]
+
+    def test_short_row_is_validation_error(self, capsys, tmp_path):
+        p = tmp_path / "board.csv"
+        p.write_text("team,scale,ws_psnr,ws_ssim,runtime_s,bd_br_pct,"
+                     "g_flops,params_k,q\nA,4,29.0\n")
+        code, _, err = run_cli(capsys, "leaderboard", "--entries", str(p))
+        assert code == 2
+        assert "line 2" in err
+
     def test_published_markdown(self, capsys):
         code, out, _ = run_cli(capsys, "leaderboard", "--published", "4")
         assert code == 0
@@ -311,6 +376,26 @@ class TestTrain:
                              "--scale", "2", "--iterations", "1")
         assert code == 0
         assert seen == [trainer.TrainConfig(iterations=1)]
+
+    def test_config_settings_reach_train_config(self, capsys, tmp_path,
+                                                monkeypatch):
+        seen = []
+        real_train = trainer.train
+
+        def spy(net, frames, cfg):
+            seen.append(cfg)
+            return real_train(net, frames, cfg)
+
+        monkeypatch.setattr(trainer, "train", spy)
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("loss = ws-l1\nmixup = yes\n")
+        code, _, _ = run_cli(capsys, "train", "--config", str(cfg),
+                             "--model", "fsrcnn", "--scale", "2",
+                             "--synthetic-count", "2", "--iterations", "1",
+                             "--batch", "2", "--patch", "8")
+        assert code == 0
+        assert seen == [trainer.TrainConfig(iterations=1, batch=2, patch=8,
+                                            loss="ws-l1", mixup=True)]
 
     def test_bad_loss_name(self, capsys):
         code, _, err = run_cli(capsys, "train", "--model", "fsrcnn",

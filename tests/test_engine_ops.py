@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -345,6 +346,43 @@ class TestTape:
             y = ops.tsum(ops.add(ops.square(x), x))
         g = backward(tape, y)[x].data
         np.testing.assert_allclose(g, np.array([[5.0, 7.0]]))
+
+    def test_nested_tape_raises(self):
+        with Tape():
+            with pytest.raises(RuntimeError):
+                with Tape():
+                    pass
+
+    def test_new_tape_after_exit(self):
+        x = Tensor(np.array([2.0, 3.0]))
+        with Tape():
+            ops.square(x)
+        with Tape() as tape:
+            y = ops.tsum(ops.square(x))
+        np.testing.assert_allclose(backward(tape, y)[x].data, [4.0, 6.0])
+
+    def test_threads_record_on_own_tapes(self):
+        # each thread holds its tape open until the other has opened its own
+        opened = threading.Barrier(2, timeout=10)
+        grads = {}
+
+        def work(scale):
+            x = Tensor(np.array([1.0, 2.0]))
+            with Tape() as tape:
+                opened.wait()
+                y = ops.tsum(ops.mul(ops.square(x), Tensor(scale)))
+                opened.wait()
+            grads[scale] = backward(tape, y)[x].data
+
+        threads = [threading.Thread(target=work, args=(s,))
+                   for s in (1.0, 3.0)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        np.testing.assert_allclose(grads[1.0], [2.0, 4.0])
+        np.testing.assert_allclose(grads[3.0], [6.0, 12.0])
 
     def test_no_tape_means_no_recording(self):
         x = Tensor(rnd(2, 2, seed=29))

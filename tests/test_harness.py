@@ -186,17 +186,17 @@ class TestEvaluatePair:
 
 
 def entry(team, ws_psnr, runtime, scale=4, **kw):
-    return harness.LeaderboardEntry(team=team, scale=scale, ws_psnr=ws_psnr,
-                                    ws_ssim=kw.get("ws_ssim", 0.8),
-                                    runtime_s=runtime,
-                                    bd_br_pct=kw.get("bd_br_pct"),
-                                    g_flops=kw.get("g_flops"),
-                                    params_k=kw.get("params_k"))
+    return score.LeaderboardEntry(team=team, scale=scale, ws_psnr=ws_psnr,
+                                  ws_ssim=kw.get("ws_ssim", 0.8),
+                                  runtime_s=runtime,
+                                  bd_br_pct=kw.get("bd_br_pct"),
+                                  g_flops=kw.get("g_flops"),
+                                  params_k=kw.get("params_k"))
 
 
 class TestLeaderboard:
     def test_published_x4_rank_order(self):
-        entries = harness.entries_from_published(4)
+        entries = score.published_results(4)
         params = score.ScoreParams.for_scale(4)
         ranked = harness.rank_entries(entries, params)
         teams = [e.team for e in ranked]

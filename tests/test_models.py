@@ -299,20 +299,14 @@ class TestResample:
             up = resample.resize_plane(src, (13, 21), kernel)
             np.testing.assert_allclose(up, 3.25, atol=1e-9)
 
-    def test_uint8_roundtrip_types(self):
-        img = np.random.default_rng(0).integers(0, 256, (8, 10, 3),
-                                                dtype=np.uint8)
-        up = resample.resize_image(img, (16, 20))
-        assert up.dtype == np.uint8 and up.shape == (16, 20, 3)
-
     def test_upscale_then_downscale_near_identity_on_smooth_input(self):
         # antialiasing removes detail above the target Nyquist, so the
         # roundtrip is only close for band-limited content
         yy, xx = np.meshgrid(np.linspace(0, 1, 12), np.linspace(0, 1, 14),
                              indexing="ij")
         img = 0.5 + 0.3 * yy - 0.2 * xx + 0.05 * np.cos(2 * np.pi * xx)
-        up = resample.resize_image(img, (24, 28))
-        back = resample.resize_image(up, (12, 14))
+        up = resample.resize_plane(img, (24, 28))
+        back = resample.resize_plane(up, (12, 14))
         assert np.abs(back - img).max() < 0.02
 
     def test_lanczos_kernel_taps(self):
