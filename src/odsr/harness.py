@@ -217,12 +217,9 @@ def _pair_metrics(ref: FrameBuffer, test: FrameBuffer,
     # SSIM values average directly.
     ws = statistics.fmean(qm.ws_mse(r, t) for r, t in zip(refs, tests))
     plain = statistics.fmean(qm.mse(r, t) for r, t in zip(refs, tests))
-    return (
-        qm.mse_to_db(ws),
-        statistics.fmean(qm.ws_ssim(r, t) for r, t in zip(refs, tests)),
-        qm.mse_to_db(plain),
-        statistics.fmean(qm.ssim(r, t) for r, t in zip(refs, tests)),
-    )
+    ws_ssim, ssim = zip(*(qm.ssim_means(r, t) for r, t in zip(refs, tests)))
+    return (qm.mse_to_db(ws), statistics.fmean(ws_ssim),
+            qm.mse_to_db(plain), statistics.fmean(ssim))
 
 
 def evaluate_pair(ref_frames, test_frames, plane: str = "y",
@@ -320,6 +317,13 @@ def emit_leaderboard_csv(entries, params: ScoreParams) -> str:
     return out.getvalue()
 
 
+def _finite(row: dict, field: str) -> float:
+    value = float(row[field])
+    if not math.isfinite(value):
+        raise ValueError(f"column {field}: {row[field]!r} is not finite")
+    return value
+
+
 def parse_leaderboard_csv(text: str) -> list[LeaderboardEntry]:
     """Inverse of :func:`emit_leaderboard_csv` (the q column is derived,
     so it is ignored on input)."""
@@ -333,9 +337,9 @@ def parse_leaderboard_csv(text: str) -> list[LeaderboardEntry]:
             if None in row or None in row.values():
                 raise ValueError(f"expected {len(reader.fieldnames)} cells")
             entries.append(LeaderboardEntry(
-                row["team"], int(row["scale"]), float(row["ws_psnr"]),
-                *(float(row[f]) if row[f].strip() else None
-                  for f in _LB_FIELDS[3:])))
+                row["team"], int(row["scale"]),
+                *(_finite(row, f) if f == "ws_psnr" or row[f].strip()
+                  else None for f in _LB_FIELDS[2:])))
     except (ValueError, csv.Error) as exc:
         raise ValueError(
             f"leaderboard CSV line {reader.reader.line_num}: {exc}") from None

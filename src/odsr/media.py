@@ -358,7 +358,10 @@ _KR, _KG, _KB = 0.2126, 0.7152, 0.0722
 
 
 def _round_u8(x: np.ndarray) -> np.ndarray:
-    return np.clip(np.floor(x + 0.5), 0, 255).astype(np.uint8)
+    """Round half up and clamp to uint8; ``x`` is scratch and overwritten."""
+    x += 0.5
+    np.floor(x, out=x)
+    return np.clip(x, 0, 255, out=x).astype(np.uint8)
 
 
 def rgb_to_y(rgb: np.ndarray) -> np.ndarray:
@@ -372,36 +375,43 @@ def rgb_to_y(rgb: np.ndarray) -> np.ndarray:
 
 def rgb_to_yuv420(frame: FrameBuffer) -> FrameBuffer:
     """Convert rgb8 to limited-range BT.709 4:2:0 (2x2 chroma averaging)."""
-    arr = frame.rgb().astype(np.float64)
+    rgb = frame.rgb()
     if frame.width % 2 or frame.height % 2:
         raise ValueError(
             f"yuv420 needs even dims, got {frame.width}x{frame.height}")
-    r, g, b = arr[..., 0], arr[..., 1], arr[..., 2]
-    lum = _KR * r + _KG * g + _KB * b
-    pb = (b - lum) / (2.0 * (1.0 - _KB))
-    pr = (r - lum) / (2.0 * (1.0 - _KR))
-    y = 16.0 + 219.0 * lum / 255.0
-    u = 128.0 + 224.0 * pb / 255.0
-    v = 128.0 + 224.0 * pr / 255.0
+    # in place, in the order of lum = KR r + KG g + KB b, pb = (b - lum) /
+    # (2 (1 - KB)), pr alike, and y, u, v = offset + span * (...) / 255
+    r, g, b = (rgb[..., i].astype(np.float64) for i in range(3))
+    lum = np.multiply(r, _KR)
+    lum += np.multiply(g, _KG, out=g)
+    lum += np.multiply(b, _KB, out=g)
+    b -= lum
+    b /= 2.0 * (1.0 - _KB)
+    r -= lum
+    r /= 2.0 * (1.0 - _KR)
+    for p, offset, span in ((lum, 16.0, 219.0), (b, 128.0, 224.0),
+                            (r, 128.0, 224.0)):
+        p *= span
+        p /= 255.0
+        p += offset
 
     def sub(p):
         return (p[0::2, 0::2] + p[0::2, 1::2]
                 + p[1::2, 0::2] + p[1::2, 1::2]) / 4.0
 
-    return FrameBuffer.from_yuv(_round_u8(y), _round_u8(sub(u)),
-                                _round_u8(sub(v)))
+    return FrameBuffer.from_yuv(_round_u8(lum), _round_u8(sub(b)),
+                                _round_u8(sub(r)))
 
 
 def yuv420_to_rgb(frame: FrameBuffer) -> FrameBuffer:
     """Convert 4:2:0 to rgb8 (nearest chroma upsampling)."""
     y, u, v = frame.yuv_planes()
     yf = (y.astype(np.float64) - 16.0) * (255.0 / 219.0)
-    uf = (u.astype(np.float64) - 128.0) * (255.0 / 224.0)
-    vf = (v.astype(np.float64) - 128.0) * (255.0 / 224.0)
-    uf = uf.repeat(2, axis=0).repeat(2, axis=1)
-    vf = vf.repeat(2, axis=0).repeat(2, axis=1)
-    r = yf + 2.0 * (1.0 - _KR) * vf
-    b = yf + 2.0 * (1.0 - _KB) * uf
+    # r = yf + 2 (1 - KR) vf and b = yf + 2 (1 - KB) uf, with the chroma
+    # products taken at quarter size, before the nearest upsampling
+    r, b = (((c.astype(np.float64) - 128.0) * (255.0 / 224.0)
+             * (2.0 * (1.0 - k))).repeat(2, axis=0).repeat(2, axis=1) + yf
+            for c, k in ((v, _KR), (u, _KB)))
     g = (yf - _KR * r - _KB * b) / _KG
     return FrameBuffer.from_rgb(np.stack(
         [_round_u8(r), _round_u8(g), _round_u8(b)], axis=-1))

@@ -123,35 +123,50 @@ def ssim_map(ref, test, peak: float = 255.0) -> np.ndarray:
         raise ValueError(
             f"frame {r.shape} smaller than the {_WIN}x{_WIN} SSIM window")
     taps = _gaussian_taps()
+    tmp = np.empty_like(r)
 
-    def smooth(img):
-        tmp = correlate1d(img, taps, axis=0, mode="nearest")
-        return correlate1d(tmp, taps, axis=1, mode="nearest")
+    def smooth(img, out=None):
+        correlate1d(img, taps, axis=0, output=tmp, mode="nearest")
+        return correlate1d(tmp, taps, axis=1, output=out, mode="nearest")
 
+    # in place on fresh copies (astype), with the out-of-place form's values
     c1 = (0.01 * peak) ** 2
     c2 = (0.03 * peak) ** 2
     mu1 = smooth(r)
     mu2 = smooth(t)
-    mu1_sq = mu1 * mu1
-    mu2_sq = mu2 * mu2
-    mu12 = mu1 * mu2
-    s1 = smooth(r * r) - mu1_sq
-    s2 = smooth(t * t) - mu2_sq
-    s12 = smooth(r * t) - mu12
-    full = ((2 * mu12 + c1) * (2 * s12 + c2)) / \
-        ((mu1_sq + mu2_sq + c1) * (s1 + s2 + c2))
-    return full[_RADIUS:-_RADIUS, _RADIUS:-_RADIUS]
+    mu12 = mu1 * mu2  # before mu1 and mu2 are squared in place
+    mu1 *= mu1  # mu1_sq
+    mu2 *= mu2  # mu2_sq
+    rt = r * t  # before r and t are squared in place
+    s1 = smooth(np.multiply(r, r, out=r), out=r)
+    s1 -= mu1
+    s2 = smooth(np.multiply(t, t, out=t), out=t)
+    s2 -= mu2
+    s12 = smooth(rt, out=rt)
+    s12 -= mu12
+    # ((2 mu12 + c1) (2 s12 + c2)) / ((mu1_sq + mu2_sq + c1) (s1 + s2 + c2))
+    num = np.add(np.multiply(mu12, 2, out=mu12), c1, out=mu12)
+    num *= np.add(np.multiply(s12, 2, out=s12), c2, out=s12)
+    den = np.add(np.add(mu1, mu2, out=mu1), c1, out=mu1)
+    den *= np.add(np.add(s1, s2, out=s1), c2, out=s1)
+    num /= den
+    return num[_RADIUS:-_RADIUS, _RADIUS:-_RADIUS]
+
+
+def ssim_means(ref, test, peak: float = 255.0,
+               weights=None) -> tuple[float, float]:
+    """(WS-SSIM, SSIM) of one plane pair, from one SSIM map."""
+    smap = ssim_map(ref, test, peak)
+    wmap = _resolve_weights(weights, *np.asarray(ref).shape)
+    wmap = wmap[_RADIUS:-_RADIUS, _RADIUS:-_RADIUS]
+    return float((smap * wmap).sum() / wmap.sum()), float(smap.mean())
 
 
 def ws_ssim(ref, test, peak: float = 255.0, weights=None) -> float:
     """SSIM map weighted by latitude cosines at the window centers."""
-    smap = ssim_map(ref, test, peak)
-    h, w = np.asarray(ref).shape
-    wfull = _resolve_weights(weights, h, w)
-    wmap = wfull[_RADIUS:-_RADIUS, _RADIUS:-_RADIUS]
-    return float((smap * wmap).sum() / wmap.sum())
+    return ssim_means(ref, test, peak, weights)[0]
 
 
 def ssim(ref, test, peak: float = 255.0) -> float:
     """Plain mean of the valid-mode SSIM map."""
-    return float(ssim_map(ref, test, peak).mean())
+    return ssim_means(ref, test, peak)[1]

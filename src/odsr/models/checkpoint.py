@@ -16,6 +16,7 @@ data ran out.
 """
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -88,7 +89,7 @@ def loads_params(blob: bytes) -> tuple[str, int, dict[str, np.ndarray]]:
     payload_start = r.off
     params: dict[str, np.ndarray] = {}
     for pname, dims, offset in table:
-        n_bytes = int(np.prod(dims, dtype=np.int64)) * 4 if dims else 4
+        n_bytes = 4 * math.prod(dims)  # a Python int: no overflow
         r.off = payload_start + offset
         raw = r.take(n_bytes, f"payload of {pname}")
         params[pname] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()

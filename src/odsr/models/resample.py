@@ -4,11 +4,13 @@ Planes are 2-D float arrays or (..., H, W) stacks resized in one call.
 Output pixel centers map to source coordinates via the center-aligned
 convention src = (dst + 0.5) / scale - 0.5.  Rows of the resize matrix
 are normalized so constants are reproduced exactly; downscaling stretches
-the kernel for antialiasing.
+the kernel for antialiasing.  An integer upscale by s runs s polyphase
+FIR filters, taken from the matrix rows, instead of the dense product.
 """
 from __future__ import annotations
 
 import numpy as np
+from scipy.ndimage import correlate1d
 
 
 def cubic_kernel(t: np.ndarray) -> np.ndarray:
@@ -71,16 +73,44 @@ def resize_matrix(src: int, dst: int, kernel: str = "cubic",
     return mat
 
 
+# an input index this far from both ends has rows free of edge clamping
+_MID = int(max(support for _, support in _KERNELS.values())) + 1
+
+
+def _upscale_axis(x: np.ndarray, axis: int, s: int,
+                  kernel: str) -> np.ndarray:
+    """Integer upscale by ``s`` along ``axis``: output k*s + p is phase p's
+    FIR around input k, clamped at the edges as the matrix clamps.  Each
+    phase is an unclamped row of a small dense matrix."""
+    mat = resize_matrix(2 * _MID + 1, (2 * _MID + 1) * s, kernel)
+    shape = list(x.shape)
+    shape[axis] *= s
+    out = np.empty(shape)
+    phase = [slice(None)] * x.ndim
+    for p in range(s):
+        nz = np.flatnonzero(mat[_MID * s + p])
+        fir = mat[_MID * s + p, nz[0]:nz[-1] + 1]
+        phase[axis] = slice(p, None, s)
+        correlate1d(x, fir, axis=axis, output=out[tuple(phase)],
+                    mode="nearest", origin=_MID - nz[0] - len(fir) // 2)
+    return out
+
+
 def resize_plane(plane: np.ndarray, out_hw: tuple[int, int],
                  kernel: str = "cubic", antialias: bool = True) -> np.ndarray:
     """Separable resize of a (..., h, w) plane stack (float64 output)."""
     if plane.ndim < 2:
         raise ValueError(
             f"expected (..., h, w) planes, got shape {plane.shape}")
-    oh, ow = out_hw
-    mh = resize_matrix(plane.shape[-2], oh, kernel, antialias)
-    mw = resize_matrix(plane.shape[-1], ow, kernel, antialias)
     # C order keeps every plane a BLAS operand, so a stack resizes each
     # plane exactly as a lone 2-D call would
-    return mh @ np.ascontiguousarray(plane, dtype=np.float64) @ mw.T
+    out = np.ascontiguousarray(plane, dtype=np.float64)
+    for axis, dst in zip((-2, -1), out_hw):
+        src = out.shape[axis]
+        if 0 < src <= dst and dst % src == 0:
+            out = _upscale_axis(out, axis, dst // src, kernel)
+        else:
+            mat = resize_matrix(src, dst, kernel, antialias)
+            out = mat @ out if axis == -2 else out @ mat.T
+    return out
 

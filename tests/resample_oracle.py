@@ -27,3 +27,11 @@ def resize_matrix(src: int, dst: int, kernel: str = "cubic",
         w = w / total
         np.add.at(mat[i], np.clip(taps, 0, src - 1), w)
     return mat
+
+
+def resize_plane(plane: np.ndarray, out_hw: tuple[int, int],
+                 kernel: str = "cubic", antialias: bool = True) -> np.ndarray:
+    """Dense separable resize: the reference for the polyphase upscale."""
+    mh = resize_matrix(plane.shape[-2], out_hw[0], kernel, antialias)
+    mw = resize_matrix(plane.shape[-1], out_hw[1], kernel, antialias)
+    return mh @ np.asarray(plane, dtype=np.float64) @ mw.T

@@ -225,6 +225,18 @@ class TestLeaderboard:
         assert code == 2
         assert "line 2" in err
 
+    def test_non_finite_cell_is_validation_error(self, capsys, tmp_path):
+        # the nan rows used to rank A (29.0 dB) as the winner above C
+        p = tmp_path / "board.csv"
+        p.write_text("team,scale,ws_psnr,ws_ssim,runtime_s,bd_br_pct,"
+                     "g_flops,params_k,q\n"
+                     "A,4,29.0,,0.01,,,,\nB,4,nan,,0.01,,,,\n"
+                     "C,4,29.5,,0.01,,,,\nD,4,29.5,,nan,,,,\n")
+        code, out, err = run_cli(capsys, "leaderboard", "--entries", str(p))
+        assert code == 2
+        assert out == ""
+        assert "line 3" in err and "ws_psnr" in err
+
     def test_published_markdown(self, capsys):
         code, out, _ = run_cli(capsys, "leaderboard", "--published", "4")
         assert code == 0

@@ -252,6 +252,23 @@ class TestLeaderboard:
             for field in harness._LB_FIELDS:
                 assert getattr(orig, field) == getattr(parsed, field), field
 
+    @pytest.mark.parametrize("column,cell", [
+        ("ws_psnr", "nan"), ("ws_psnr", "inf"), ("runtime_s", "-inf"),
+        ("params_k", "NaN"), ("ws_ssim", "1e999")])
+    def test_non_finite_cell_names_line_and_column(self, column, cell):
+        p = score.ScoreParams.for_scale(4)
+        text = harness.emit_leaderboard_csv(
+            [entry("a", 29.0, 0.01, g_flops=1.0, params_k=2.0),
+             entry("b", 28.0, 0.02, g_flops=1.0, params_k=2.0)], p)
+        lines = text.splitlines()
+        header = lines[0].split(",")
+        row = lines[2].split(",")
+        row[header.index(column)] = cell
+        lines[2] = ",".join(row)
+        with pytest.raises(ValueError,
+                           match=f"line 3: column {column}: '{cell}'"):
+            harness.parse_leaderboard_csv("\n".join(lines) + "\n")
+
     def test_csv_q_column_present_but_derived(self):
         p = score.ScoreParams.for_scale(4)
         text = harness.emit_leaderboard_csv([entry("a", 29.0, 0.01)], p)

@@ -1,6 +1,7 @@
 """Architecture structure, parameter anchors, checkpoints, resampling."""
 import hashlib
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -242,6 +243,15 @@ class TestCheckpoint:
         blob = checkpoint.dumps_params(
             "fsrcnn", 2, {"head.w": Tensor(np.ones((4, 0, 3), np.float32))})
         with pytest.raises(ValueError, match="'head.w'.*zero-size"):
+            checkpoint.loads_params(blob)
+
+    def test_overflowing_dims_report_truncation(self):
+        # 65536**4 float32s: a fixed-width product would wrap to 0
+        blob = checkpoint.dumps_params(
+            "fsrcnn", 2, {"w": Tensor(np.ones((1, 1, 1, 1), np.float32))})
+        blob = blob.replace(struct.pack("<4I", 1, 1, 1, 1),
+                            struct.pack("<4I", *(65536,) * 4))
+        with pytest.raises(ValueError, match="truncated.*payload of w"):
             checkpoint.loads_params(blob)
 
 
