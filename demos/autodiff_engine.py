@@ -14,7 +14,7 @@ def main():
     with Tape() as tape:
         loss = ops.tsum(ops.add(ops.square(x), x))
     print("grad of sum(x^2 + x) at [2, 3]:",
-          backward(tape, loss)[x].data, "(expect [5, 7])")
+          backward(tape, loss)[x], "(expect [5, 7])")
 
     # fit y = 3x - 1 with a single conv1x1 acting as an affine map
     rng = np.random.default_rng(0)
@@ -27,8 +27,8 @@ def main():
             pred = ops.conv2d(Tensor(xs), ops.ConvParams(w, b))
             loss = ops.tmean(ops.square(ops.sub(pred, Tensor(ys))))
         grads = backward(tape, loss)
-        w = Tensor(w.data - 0.5 * grads[w].data)
-        b = Tensor(b.data - 0.5 * grads[b].data)
+        w = Tensor(w.data - 0.5 * grads[w])
+        b = Tensor(b.data - 0.5 * grads[b])
         if step % 50 == 0:
             print(f"  step {step:3d}  mse {loss.data:.6f}")
     print(f"fitted scale {w.data.ravel()[0]:+.4f} (expect +3), "

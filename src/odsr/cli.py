@@ -12,6 +12,7 @@ success, 2 bad input, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import sys
 from pathlib import Path
@@ -26,9 +27,10 @@ from .score import ScoreParams, published_results, q_score, score_surface_csv
 _FIG_DEFAULTS = ScoreParams.for_scale(2)
 
 
-def load_config(path) -> dict[str, str]:
-    """Parse ``key = value`` lines; keys are normalized to underscores."""
-    out = {}
+def load_config(path) -> list[tuple[int, str, str]]:
+    """Parse ``key = value`` lines into (line number, key, value) in file
+    order; keys are normalized to underscores."""
+    out = []
     for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -37,7 +39,7 @@ def load_config(path) -> dict[str, str]:
             raise ValueError(f"{path}:{ln}: expected 'key = value', "
                              f"got {raw!r}")
         key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = value.strip()
+        out.append((ln, key.strip().replace("-", "_"), value.strip()))
     return out
 
 
@@ -324,11 +326,23 @@ def build_parser() -> tuple[argparse.ArgumentParser,
 
 
 def _config_flags(subparser: argparse.ArgumentParser, path) -> list[str]:
-    """The lines of config ``path`` that ``subparser`` declares, as flags."""
+    """The lines of config ``path`` that ``subparser`` declares, as flags.
+
+    Each is parsed on its own first, so a value its flag rejects raises a
+    ValueError that names the file, line and key.
+    """
     declared = vars(subparser.parse_args([]))
-    return [f"--{key.replace('_', '-')}={value}"
-            for key, value in load_config(path).items()
-            if key in declared and key != "func"]
+    probe = copy.copy(subparser)  # same flags, raises ArgumentError
+    probe.exit_on_error = False
+    flags = []
+    for ln, key, value in load_config(path):
+        if key in declared and key != "func":
+            flags.append(f"--{key.replace('_', '-')}={value}")
+            try:
+                probe.parse_known_args(flags[-1:])
+            except argparse.ArgumentError as exc:
+                raise ValueError(f"{path}:{ln}: {key}: {exc}") from None
+    return flags
 
 
 def main(argv=None) -> int:

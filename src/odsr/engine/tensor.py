@@ -3,9 +3,9 @@
 The engine is deliberately small: a :class:`Tensor` wraps a numpy array
 (float32 by default, float64 for high-precision checks), operations in
 :mod:`odsr.engine.ops` compute eagerly, and an active :class:`Tape` records
-each op so :func:`backward` can replay the trace in reverse and accumulate
-vector-Jacobian products.  Image tensors are NCHW; reductions produce 0-d
-scalars.
+each op so :func:`backward` can replay the trace once, in reverse, and
+accumulate vector-Jacobian products down to the leaves.  Image tensors are
+NCHW; reductions produce 0-d scalars.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ class Tensor:
     float32/float64 payloads are allowed; anything else is cast to float32.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "__weakref__")
 
     def __init__(self, data, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -81,7 +81,7 @@ _ACTIVE = threading.local()
 
 
 class Tape:
-    """Records ops executed under ``with Tape() as tape:`` for backward().
+    """Records ops executed under ``with Tape() as tape:`` for one backward().
 
     A tape is single-owner: it must be used from the thread that opened it.
     Each thread records on at most one tape at a time, so entering a second
@@ -92,6 +92,7 @@ class Tape:
     def __init__(self):
         self.nodes: list[Node] = []
         self._entered = False
+        self._used = False
 
     def __enter__(self) -> "Tape":
         if self._entered:
@@ -114,39 +115,44 @@ def active_tape() -> Tape | None:
     return getattr(_ACTIVE, "tape", None)
 
 
-def backward(tape: Tape, loss: Tensor) -> dict[Tensor, Tensor]:
+def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Reverse-accumulate gradients of a scalar ``loss`` through ``tape``.
 
-    Returns a mapping from every tensor that participated as an op input to
-    its gradient (same shape and dtype).  Fan-out accumulates by summation.
-    Raises ValueError if ``loss`` is not scalar or was not produced on the
-    tape.
+    Returns each leaf the loss reaches (an op input no node produced, such
+    as a parameter) mapped to its gradient, an ndarray of the leaf's shape
+    and dtype; fan-out accumulates by summation.  The walk consumes the
+    tape, popping each node once its VJP has run and dropping each gradient
+    once passed on, so forward arrays are freed as it goes.  Raises
+    ValueError for a used tape, a non-scalar loss or one made off the tape.
     """
+    if tape._used:
+        raise ValueError("tape was already used by backward; record anew")
     if loss.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.shape}")
     produced = {id(n.out) for n in tape.nodes}
     if id(loss) not in produced:
         raise ValueError("loss tensor was not produced on this tape")
+    tape._used = True
 
-    grads: dict[int, np.ndarray] = {
-        id(loss): np.ones_like(loss.data)
-    }
-    holders: dict[int, Tensor] = {}
-    for node in reversed(tape.nodes):
-        g = grads.get(id(node.out))
+    # id() keys stay safe while nodes are freed: every tensor with a pending
+    # gradient is held either by an unpopped node (its producer) or by
+    # ``leaves``, so no new object can take its id while the key is pending;
+    # ``produced`` was taken while every tensor on the tape was alive.
+    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    leaves: dict[int, Tensor] = {}
+    nodes = tape.nodes
+    while nodes:
+        node = nodes.pop()
+        g = grads.pop(id(node.out), None)
         if g is None:
             continue
-        in_grads = node.vjp(g)
-        for tensor, ig in zip(node.inputs, in_grads):
+        for tensor, ig in zip(node.inputs, node.vjp(g)):
             if ig is None:
                 continue
             key = id(tensor)
-            holders[key] = tensor
-            if key in grads:
-                grads[key] = grads[key] + ig
-            else:
-                grads[key] = ig
-    return {
-        t: Tensor(grads[key].astype(t.data.dtype, copy=False))
-        for key, t in holders.items()
-    }
+            if key not in produced:
+                leaves[key] = tensor
+            prev = grads.get(key)
+            grads[key] = ig if prev is None else prev + ig
+    return {t: grads[key].astype(t.data.dtype, copy=False)
+            for key, t in leaves.items()}

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import metrics as qm
 from .engine.tensor import Tensor
-from .media import FrameBuffer, rgb_to_yuv420, yuv420_to_rgb
+from .media import FrameBuffer, rgb_to_yuv420, round_u8, yuv420_to_rgb
 from .models import builders, checkpoint, networks, resample
 from .score import LeaderboardEntry, ScoreParams
 
@@ -84,15 +84,12 @@ def frame_to_tensor(frame: FrameBuffer) -> Tensor:
 def tensor_to_frame(t: Tensor, layout: str) -> FrameBuffer:
     """Encode a [1, 3, h, w] tensor in [0, 1] back to the given layout."""
     arr = t.data[0].transpose(1, 2, 0)
-    u8 = np.clip(np.floor(arr * 255.0 + 0.5), 0, 255).astype(np.uint8)
     if layout == "rgb8":
-        return FrameBuffer.from_rgb(u8)
+        return FrameBuffer.from_rgb(round_u8(arr * 255.0))
     if layout == "yuv420":
-        return rgb_to_yuv420(FrameBuffer.from_rgb(u8))
+        return rgb_to_yuv420(FrameBuffer.from_rgb(round_u8(arr * 255.0)))
     if layout == "y8":
-        return FrameBuffer.from_y(
-            np.clip(np.floor(arr.mean(axis=2) * 255.0 + 0.5),
-                    0, 255).astype(np.uint8))
+        return FrameBuffer.from_y(round_u8(arr.mean(axis=2) * 255.0))
     raise ValueError(f"unknown layout {layout!r}")
 
 
@@ -197,16 +194,14 @@ class MetricReport:
 
 
 def _frame_planes(frame: FrameBuffer, plane: str) -> list[np.ndarray]:
-    if plane == "y":
-        return [frame.y().astype(np.float64)]
-    if plane == "rgb-mean":
-        if frame.layout == "yuv420":
-            frame = yuv420_to_rgb(frame)
-        if frame.layout == "y8":
-            return [frame.y().astype(np.float64)]
-        rgb = frame.rgb().astype(np.float64)
-        return [rgb[..., i] for i in range(3)]
-    raise ValueError(f"unknown metric plane {plane!r} (y or rgb-mean)")
+    """uint8 planes; each metric makes its own float64 copy."""
+    if plane not in ("y", "rgb-mean"):
+        raise ValueError(f"unknown metric plane {plane!r} (y or rgb-mean)")
+    if plane == "y" or frame.layout == "y8":
+        return [frame.y()]
+    if frame.layout == "yuv420":
+        frame = yuv420_to_rgb(frame)
+    return list(frame.rgb().transpose(2, 0, 1))
 
 
 def _pair_metrics(ref: FrameBuffer, test: FrameBuffer,

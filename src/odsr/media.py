@@ -357,7 +357,7 @@ def save_sequence(path, seq: VideoSequence) -> None:
 _KR, _KG, _KB = 0.2126, 0.7152, 0.0722
 
 
-def _round_u8(x: np.ndarray) -> np.ndarray:
+def round_u8(x: np.ndarray) -> np.ndarray:
     """Round half up and clamp to uint8; ``x`` is scratch and overwritten."""
     x += 0.5
     np.floor(x, out=x)
@@ -370,7 +370,7 @@ def rgb_to_y(rgb: np.ndarray) -> np.ndarray:
     if arr.ndim != 3 or arr.shape[2] != 3:
         raise ValueError(f"expected HxWx3, got {arr.shape}")
     lum = _KR * arr[..., 0] + _KG * arr[..., 1] + _KB * arr[..., 2]
-    return _round_u8(16.0 + 219.0 * lum / 255.0)
+    return round_u8(16.0 + 219.0 * lum / 255.0)
 
 
 def rgb_to_yuv420(frame: FrameBuffer) -> FrameBuffer:
@@ -399,8 +399,8 @@ def rgb_to_yuv420(frame: FrameBuffer) -> FrameBuffer:
         return (p[0::2, 0::2] + p[0::2, 1::2]
                 + p[1::2, 0::2] + p[1::2, 1::2]) / 4.0
 
-    return FrameBuffer.from_yuv(_round_u8(lum), _round_u8(sub(b)),
-                                _round_u8(sub(r)))
+    return FrameBuffer.from_yuv(round_u8(lum), round_u8(sub(b)),
+                                round_u8(sub(r)))
 
 
 def yuv420_to_rgb(frame: FrameBuffer) -> FrameBuffer:
@@ -414,4 +414,4 @@ def yuv420_to_rgb(frame: FrameBuffer) -> FrameBuffer:
             for c, k in ((v, _KR), (u, _KB)))
     g = (yf - _KR * r - _KB * b) / _KG
     return FrameBuffer.from_rgb(np.stack(
-        [_round_u8(r), _round_u8(g), _round_u8(b)], axis=-1))
+        [round_u8(r), round_u8(g), round_u8(b)], axis=-1))

@@ -40,11 +40,15 @@ class WeightMap:
         return np.broadcast_to(self.rows[:, None], (self.height, self.width))
 
 
-def _as_plane(x) -> np.ndarray:
-    arr = np.asarray(x)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError(f"expected a non-empty 2-D plane, got {arr.shape}")
-    return arr.astype(np.float64)
+def _as_planes(ref, test) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh float64 copies of two same-shape, non-empty 2-D planes."""
+    r, t = np.asarray(ref), np.asarray(test)
+    for a in (r, t):
+        if a.ndim != 2 or a.size == 0:
+            raise ValueError(f"expected a non-empty 2-D plane, got {a.shape}")
+    if r.shape != t.shape:
+        raise ValueError(f"shape mismatch: ref {r.shape} vs test {t.shape}")
+    return r.astype(np.float64), t.astype(np.float64)
 
 
 def _resolve_weights(weights, h: int, w: int) -> np.ndarray:
@@ -64,10 +68,7 @@ def _resolve_weights(weights, h: int, w: int) -> np.ndarray:
 
 def ws_mse(ref, test, weights=None) -> float:
     """Latitude-weighted mean squared error of one plane."""
-    r = _as_plane(ref)
-    t = _as_plane(test)
-    if r.shape != t.shape:
-        raise ValueError(f"shape mismatch: ref {r.shape} vs test {t.shape}")
+    r, t = _as_planes(ref, test)
     w = _resolve_weights(weights, *r.shape)
     diff = r - t
     return float((w * diff * diff).sum() / w.sum())
@@ -75,10 +76,7 @@ def ws_mse(ref, test, weights=None) -> float:
 
 def mse(ref, test) -> float:
     """Plain mean squared error of one plane."""
-    r = _as_plane(ref)
-    t = _as_plane(test)
-    if r.shape != t.shape:
-        raise ValueError(f"shape mismatch: ref {r.shape} vs test {t.shape}")
+    r, t = _as_planes(ref, test)
     return float(np.mean((r - t) ** 2))
 
 
@@ -115,10 +113,7 @@ def _gaussian_taps(sigma: float = 1.5) -> np.ndarray:
 
 def ssim_map(ref, test, peak: float = 255.0) -> np.ndarray:
     """Valid-mode SSIM map: shape (h-10, w-10), 11x11 Gaussian sigma 1.5."""
-    r = _as_plane(ref)
-    t = _as_plane(test)
-    if r.shape != t.shape:
-        raise ValueError(f"shape mismatch: ref {r.shape} vs test {t.shape}")
+    r, t = _as_planes(ref, test)
     if min(r.shape) < _WIN:
         raise ValueError(
             f"frame {r.shape} smaller than the {_WIN}x{_WIN} SSIM window")

@@ -36,6 +36,15 @@ class NetworkSpec:
             raise ValueError(
                 f"network must end with 3 channels, got {c_out}")
 
+    def check_input_hw(self, h: int, w: int) -> None:
+        """Raise ValueError unless an h x w input meets the constraints."""
+        if min(h, w) < self.min_hw:
+            raise ValueError(f"{self.name} needs inputs of at least "
+                             f"{self.min_hw}px per side, got {h}x{w}")
+        if h % self.hw_multiple or w % self.hw_multiple:
+            raise ValueError(f"{self.name} needs dims divisible by "
+                             f"{self.hw_multiple}, got {h}x{w}")
+
 
 def param_specs(spec: NetworkSpec) -> list[ParamSpec]:
     """Flat parameter table in deterministic order."""
@@ -119,16 +128,7 @@ class Network:
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 4 or x.shape[1] != 3:
             raise ValueError(f"input must be [n, 3, h, w], got {x.shape}")
-        h, w = x.shape[2:]
-        if min(h, w) < self.spec.min_hw:
-            raise ValueError(
-                f"{self.spec.name} needs inputs of at least "
-                f"{self.spec.min_hw}px per side, got {h}x{w}")
-        m = self.spec.hw_multiple
-        if h % m or w % m:
-            raise ValueError(
-                f"{self.spec.name} needs dims divisible by {m}, "
-                f"got {h}x{w}")
+        self.spec.check_input_hw(*x.shape[2:])
         return blocks.run_layers(self.spec.layers, x, self.params, "net")
 
     def replace_params(self, params: dict[str, Tensor]) -> "Network":

@@ -19,6 +19,7 @@ from . import harness
 from .engine import ops
 from .engine.tensor import Tape, Tensor, backward
 from .losses import charbonnier_loss, fft_loss, ws_weighted_l1
+from .media import round_u8
 from .metrics import WeightMap, mse_to_db, ws_mse
 from .models import blocks
 from .models.networks import Network
@@ -244,11 +245,7 @@ def train(net: Network, frames: Sequence, cfg: TrainConfig,
         raise ValueError("no training frames")
     hr_frames = [as_chw(f) for f in frames]
     scale = net.scale
-    if cfg.patch < net.spec.min_hw or cfg.patch % net.spec.hw_multiple:
-        raise ValueError(
-            f"patch {cfg.patch} violates {net.spec.name} input "
-            f"constraints (min {net.spec.min_hw}, multiple of "
-            f"{net.spec.hw_multiple})")
+    net.spec.check_input_hw(cfg.patch, cfg.patch)
     rot = cfg.rot90 and cfg.loss != "ws-l1"
     rng = np.random.default_rng(cfg.seed)
     params = dict(net.params)
@@ -273,18 +270,11 @@ def train(net: Network, frames: Sequence, cfg: TrainConfig,
         with Tape() as tape:
             pred = blocks.run_layers(net.spec.layers, x, params, "net")
             loss = loss_fn(pred, target, pairs)
-        grad_map = backward(tape, loss)
-        grads = {}
-        dead = []
-        for name, tensor in params.items():
-            g = grad_map.get(tensor)
-            if g is None:
-                dead.append(name)
-            else:
-                grads[name] = g.data
+        leaf_grads = backward(tape, loss)
+        dead = sorted(k for k, t in params.items() if t not in leaf_grads)
         if dead:
-            raise RuntimeError(
-                f"parameters received no gradient: {sorted(dead)[:4]}")
+            raise RuntimeError(f"parameters received no gradient: {dead[:4]}")
+        grads = {k: leaf_grads[t] for k, t in params.items()}
         params = adam_step(params, grads, state, step_lr)
         losses.append(float(loss.item()))
         lrs.append(step_lr)
@@ -371,6 +361,5 @@ def synthetic_frames(count: int = 8, hw: tuple[int, int] = (128, 128),
             base[top:top + bh, left:left + bw] = np.where(
                 cell[..., None].astype(bool), 0.75, 0.25)
         up = np.kron(base, np.ones((2, 2, 1)))
-        frames.append(np.clip(np.floor(up * 255.0 + 0.5),
-                              0, 255).astype(np.uint8))
+        frames.append(round_u8(up * 255.0))
     return frames

@@ -27,7 +27,7 @@ def autograd_inputs(fn, arrays):
         out = fn(*tensors)
         loss = ops.tsum(out) if out.size > 1 else out
     grads = backward(tape, loss)
-    return [grads[t].data if t in grads else np.zeros_like(t.data)
+    return [grads[t] if t in grads else np.zeros_like(t.data)
             for t in tensors]
 
 

@@ -110,6 +110,17 @@ class TestConfigFile:
         assert "--scale" in err
         assert not dst.exists()
 
+    def test_rejected_config_value_names_file_line_and_key(self, capsys,
+                                                             tmp_path):
+        cfg = tmp_path / "score.cfg"
+        cfg.write_text("ws-psnr = 31.0\n# x4 track\nscale = 3\n")
+        code, out, err = run_cli(capsys, "score-q", "--config", str(cfg),
+                                 "--runtime", "0.01")
+        assert code == 2
+        assert out == ""
+        assert f"{cfg}:3: scale:" in err
+        assert "invalid choice: 3" in err
+
     def test_other_subcommands_keys_ignored(self, capsys, tmp_path):
         cfg = tmp_path / "shared.cfg"
         cfg.write_text("iterations = 5\nws-psnr = 31.0\nruntime = 0.010\n")

@@ -189,7 +189,7 @@ class TestFullNetworks:
         for pname in picks:
             t = net.params[pname]
             flat = t.data.reshape(-1)
-            gflat = grads[t].data.reshape(-1)
+            gflat = grads[t].reshape(-1)
             # floor the relative error by the parameter's gradient scale so
             # FD roundoff on a near-zero coordinate cannot dominate
             floor = max(1e-3 * float(np.abs(gflat).max()), 1e-8)
@@ -218,7 +218,7 @@ class TestFullNetworks:
         xt = Tensor(x.copy())
         with Tape() as tape:
             loss = ops.tsum(ops.square(net(xt)))
-        g = backward(tape, loss)[xt].data
+        g = backward(tape, loss)[xt]
         for _ in range(4):
             i = tuple(int(v) for v in (0, rng.integers(3),
                                        rng.integers(8), rng.integers(8)))
@@ -243,5 +243,5 @@ class TestFullNetworks:
             grads = backward(tape, loss)
             for pname, t in net.params.items():
                 assert t in grads, f"{name}.{pname} missing from grads"
-                assert float(np.abs(grads[t].data).max()) > 0.0, \
+                assert float(np.abs(grads[t]).max()) > 0.0, \
                     f"{name}.{pname} gradient identically zero"

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -219,7 +220,7 @@ class TestConv:
                 t = ops.conv_transpose2d(Tensor(x), Tensor(wt), None, 2, 1)
                 loss = ops.tsum(z) + ops.tsum(t)
             grads = backward(tape, loss)
-            return [a.data for a in (z, t, *grads.values())]
+            return [z.data, t.data, *grads.values()]
 
         whole = run()
         monkeypatch.setattr(ops, "_BLOCK", 16)
@@ -344,8 +345,37 @@ class TestTape:
         x = Tensor(np.array([[2.0, 3.0]]))
         with Tape() as tape:
             y = ops.tsum(ops.add(ops.square(x), x))
-        g = backward(tape, y)[x].data
+        g = backward(tape, y)[x]
         np.testing.assert_allclose(g, np.array([[5.0, 7.0]]))
+
+    def test_grads_cover_leaves_only(self):
+        x = Tensor(np.array([[2.0, 3.0]]))
+        with Tape() as tape:
+            y = ops.square(x)
+            z = ops.tsum(y)
+        grads = backward(tape, z)
+        assert list(grads) == [x]
+        assert type(grads[x]) is np.ndarray and grads[x].dtype == x.dtype
+        assert y not in grads and z not in grads
+
+    def test_backward_consumes_the_tape(self):
+        x = Tensor(rnd(3, 4, seed=31))
+        with Tape() as tape:
+            y = ops.square(x)
+            z = ops.tsum(y)
+        y_ref = weakref.ref(y)
+        del y
+        backward(tape, z)
+        assert not tape.nodes
+        assert y_ref() is None
+
+    def test_second_backward_raises(self):
+        x = Tensor(rnd(2, 2, seed=32))
+        with Tape() as tape:
+            z = ops.tsum(ops.square(x))
+        backward(tape, z)
+        with pytest.raises(ValueError, match="already used"):
+            backward(tape, z)
 
     def test_nested_tape_raises(self):
         with Tape():
@@ -359,7 +389,7 @@ class TestTape:
             ops.square(x)
         with Tape() as tape:
             y = ops.tsum(ops.square(x))
-        np.testing.assert_allclose(backward(tape, y)[x].data, [4.0, 6.0])
+        np.testing.assert_allclose(backward(tape, y)[x], [4.0, 6.0])
 
     def test_threads_record_on_own_tapes(self):
         # each thread holds its tape open until the other has opened its own
@@ -372,7 +402,7 @@ class TestTape:
                 opened.wait()
                 y = ops.tsum(ops.mul(ops.square(x), Tensor(scale)))
                 opened.wait()
-            grads[scale] = backward(tape, y)[x].data
+            grads[scale] = backward(tape, y)[x]
 
         threads = [threading.Thread(target=work, args=(s,))
                    for s in (1.0, 3.0)]

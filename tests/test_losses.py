@@ -50,7 +50,7 @@ class TestCharbonnier:
         with Tape() as tape:
             loss = losses.charbonnier_loss(xt, Tensor(b, dtype=np.float64))
         grads = backward(tape, loss)
-        assert np.abs(grads[xt].data).max() < 1.0 / a.size
+        assert np.abs(grads[xt]).max() < 1.0 / a.size
 
 
 class TestFftLoss:
@@ -156,7 +156,7 @@ class TestLossesAreTapeAware:
         with Tape() as tape:
             loss = fn(xt, yt)
         grads = backward(tape, loss)
-        gx, gy = grads[xt].data, grads[yt].data
+        gx, gy = grads[xt], grads[yt]
         assert np.abs(gx).max() > 0
         assert np.abs(gy).max() > 0
         # antisymmetric pair: dL/dx == -dL/dy for all three losses
