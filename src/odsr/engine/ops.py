@@ -17,9 +17,6 @@ from .tensor import Tensor, active_tape
 # Accumulator elements per column block of a tap-accumulated correlation:
 # the block and one tap's product stay in cache while every tap is added.
 _BLOCK = 1 << 17
-# Per-tap products a transposed conv computes at once: input rows are taken
-# in bands small enough to keep them under this many elements.
-_SCATTER_BUDGET = 1 << 22
 # Elements per block of the float32 GELU kernel: its four scratch rows stay
 # in cache across the 27 passes of the rational erf.
 _GELU_BLOCK = 1 << 15
@@ -386,37 +383,31 @@ def _corr_wgrad(x: np.ndarray, gout: np.ndarray, kh: int, kw: int,
         gw.reshape(kh, kw, co, cig).transpose(2, 3, 0, 1))
 
 
-def _scatter(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
-             out_hw: tuple[int, int], groups: int) -> np.ndarray:
-    """Transposed correlation (adjoint of :func:`_corr`), col2im style.
+def _corr_transpose(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
+                    out_hw: tuple[int, int], groups: int) -> np.ndarray:
+    """Transposed correlation (adjoint of :func:`_corr`) as a sub-pixel one.
 
-    x [n, ci, h, w], w [ci, co/g, kh, kw] -> [n, co, out_hw].  One matmul
-    per band of input rows gives every tap's contribution per input pixel,
-    one strided add per tap places it on the stride grid, and a crop removes
-    the padding: no zero-dilated input, so no multiplies by inserted zeros.
+    x [n, ci, h, w], w [ci, co/g, kh, kw] -> [n, co, out_hw].  Output phase
+    (a, b) of the stride grid sees taps (u*s + a, v*s + b) only, so with the
+    kernel zero-filled to t*s taps (t = ceil(k/s)) every phase is a stride-1
+    correlation with t x t flipped taps.  One :func:`_corr` computes all s*s
+    phases as channels; a pixel shuffle interleaves them and a crop removes
+    the padding.  Output rows or columns that no input reaches stay zero.
     """
-    n, ci, h, wd = x.shape
-    _, cog, kh, kw = w.shape
+    ci, cog, kh, kw = w.shape
     s, p, g = stride, padding, groups
     cig = ci // g
+    t = -(-max(kh, kw) // s)
+    wz = np.zeros((g, cig, cog, t * s, t * s), dtype=w.dtype)
+    wz[..., :kh, :kw] = w.reshape(g, cig, cog, kh, kw)
+    wsub = wz.reshape(g, cig, cog, t, s, t, s)[:, :, :, ::-1, :, ::-1]
+    wsub = wsub.transpose(0, 2, 4, 6, 1, 3, 5).reshape(-1, cig, t, t)
+    full = _shuffle_array(_corr(x, wsub, 1, t - 1, g), s)
     oh, ow = out_hw
-    full = np.zeros((g, cog, n, max((h - 1) * s + kh, p + oh),
-                     max((wd - 1) * s + kw, p + ow)),
-                    dtype=np.result_type(x, w))
-    xm = x.transpose(1, 0, 2, 3).reshape(g, cig, n, h, wd)
-    wm = np.ascontiguousarray(w.reshape(g, cig, cog, kh * kw).transpose(
-        0, 3, 2, 1)).reshape(g, kh * kw * cog, cig)
-    product = np.multiply if cig == 1 else np.matmul
-    band = max(1, _SCATTER_BUDGET // (kh * kw * cog * g * n * wd))
-    for r0 in range(0, h, band):
-        r1 = min(r0 + band, h)
-        taps = product(wm, xm[:, :, :, r0:r1].reshape(g, cig, -1)).reshape(
-            g, kh, kw, cog, n, r1 - r0, wd)
-        for i, j in np.ndindex(kh, kw):
-            full[:, :, :, r0 * s + i:(r1 - 1) * s + i + 1:s,
-                 j:j + (wd - 1) * s + 1:s] += taps[:, i, j]
-    out = full.reshape(g * cog, n, *full.shape[3:])[:, :, p:p + oh, p:p + ow]
-    return out.transpose(1, 0, 2, 3).copy()
+    out = np.zeros((*full.shape[:2], oh, ow), dtype=full.dtype)
+    crop = full[:, :, p:p + oh, p:p + ow]
+    out[:, :, :crop.shape[2], :crop.shape[3]] = crop
+    return out
 
 
 def conv2d(x: Tensor, p: ConvParams) -> Tensor:
@@ -434,7 +425,8 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     inputs = (x, w) if b is None else (x, w, b)
 
     def vjp(g):
-        gx = _scatter(g, w.data, p.stride, p.padding, x.shape[2:], p.groups)
+        gx = _corr_transpose(g, w.data, p.stride, p.padding, x.shape[2:],
+                             p.groups)
         gw = _corr_wgrad(x.data, g, w.shape[2], w.shape[3], p.stride,
                          p.padding, p.groups)
         if b is None:
@@ -468,7 +460,7 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ValueError("transposed conv output would be empty")
     if kh - 1 - p < 0 or kw - 1 - p < 0:
         raise ValueError(f"padding {p} larger than kernel-1 is unsupported")
-    val = _scatter(x.data, weight.data, s, p, out_hw, 1)
+    val = _corr_transpose(x.data, weight.data, s, p, out_hw, 1)
     if bias is not None:
         val += bias.data[None, :, None, None]
     out = Tensor(val)
@@ -486,23 +478,12 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
 # -- pixel shuffle --------------------------------------------------------
 
-def pixel_shuffle(x: Tensor, r: int) -> Tensor:
-    """Rearrange [n, c*r^2, h, w] -> [n, c, h*r, w*r].
-
-    out(n, c, y, x) = in(n, c*r^2 + (y mod r)*r + (x mod r), y//r, x//r).
-    """
+def _shuffle_array(x: np.ndarray, r: int) -> np.ndarray:
     n, c, h, w = x.shape
-    if r < 1 or c % (r * r):
-        raise ValueError(f"channels {c} not divisible by r^2 = {r * r}")
     c2 = c // (r * r)
-    val = x.data.reshape(n, c2, r, r, h, w).transpose(
+    val = x.reshape(n, c2, r, r, h, w).transpose(
         0, 1, 4, 2, 5, 3).reshape(n, c2, h * r, w * r)
-    out = Tensor(np.ascontiguousarray(val))
-
-    def vjp(g):
-        return (_unshuffle_array(g, r),)
-
-    return _record((x,), out, vjp)
+    return np.ascontiguousarray(val)
 
 
 def _unshuffle_array(x: np.ndarray, r: int) -> np.ndarray:
@@ -512,20 +493,25 @@ def _unshuffle_array(x: np.ndarray, r: int) -> np.ndarray:
     return np.ascontiguousarray(val)
 
 
+def pixel_shuffle(x: Tensor, r: int) -> Tensor:
+    """Rearrange [n, c*r^2, h, w] -> [n, c, h*r, w*r].
+
+    out(n, c, y, x) = in(n, c*r^2 + (y mod r)*r + (x mod r), y//r, x//r).
+    """
+    _, c, _, _ = x.shape
+    if r < 1 or c % (r * r):
+        raise ValueError(f"channels {c} not divisible by r^2 = {r * r}")
+    out = Tensor(_shuffle_array(x.data, r))
+    return _record((x,), out, lambda g: (_unshuffle_array(g, r),))
+
+
 def pixel_unshuffle(x: Tensor, r: int) -> Tensor:
     """Inverse of :func:`pixel_shuffle`: [n, c, h*r, w*r] -> [n, c*r^2, h, w]."""
-    n, c, h, w = x.shape
+    _, _, h, w = x.shape
     if r < 1 or h % r or w % r:
         raise ValueError(f"spatial dims {h}x{w} not divisible by r = {r}")
     out = Tensor(_unshuffle_array(x.data, r))
-
-    def vjp(g):
-        c2 = c * r * r
-        val = g.reshape(n, c, r, r, h // r, w // r).transpose(
-            0, 1, 4, 2, 5, 3).reshape(n, c2 // (r * r), h, w)
-        return (np.ascontiguousarray(val),)
-
-    return _record((x,), out, vjp)
+    return _record((x,), out, lambda g: (_shuffle_array(g, r),))
 
 
 # -- pooling and resampling -----------------------------------------------

@@ -51,25 +51,10 @@ def _as_planes(ref, test) -> tuple[np.ndarray, np.ndarray]:
     return r.astype(np.float64), t.astype(np.float64)
 
 
-def _resolve_weights(weights, h: int, w: int) -> np.ndarray:
-    if weights is None:
-        return WeightMap.for_frame(h, w).as_array()
-    if isinstance(weights, WeightMap):
-        if (weights.height, weights.width) != (h, w):
-            raise ValueError(
-                f"weight map is {weights.height}x{weights.width}, "
-                f"frame is {h}x{w}")
-        return weights.as_array()
-    arr = np.asarray(weights, dtype=np.float64)
-    if arr.shape != (h, w):
-        raise ValueError(f"weights shape {arr.shape} != frame {h}x{w}")
-    return arr
-
-
-def ws_mse(ref, test, weights=None) -> float:
+def ws_mse(ref, test) -> float:
     """Latitude-weighted mean squared error of one plane."""
     r, t = _as_planes(ref, test)
-    w = _resolve_weights(weights, *r.shape)
+    w = WeightMap.for_frame(*r.shape).as_array()
     diff = r - t
     return float((w * diff * diff).sum() / w.sum())
 
@@ -91,9 +76,9 @@ def mse_to_db(value: float, peak: float = 255.0) -> float:
     return 10.0 * math.log10(peak * peak / value)
 
 
-def ws_psnr(ref, test, peak: float = 255.0, weights=None) -> float:
+def ws_psnr(ref, test, peak: float = 255.0) -> float:
     """Weighted-to-spherically-uniform PSNR in dB (+inf for identical)."""
-    return mse_to_db(ws_mse(ref, test, weights), peak)
+    return mse_to_db(ws_mse(ref, test), peak)
 
 
 def psnr(ref, test, peak: float = 255.0) -> float:
@@ -148,18 +133,17 @@ def ssim_map(ref, test, peak: float = 255.0) -> np.ndarray:
     return num[_RADIUS:-_RADIUS, _RADIUS:-_RADIUS]
 
 
-def ssim_means(ref, test, peak: float = 255.0,
-               weights=None) -> tuple[float, float]:
+def ssim_means(ref, test, peak: float = 255.0) -> tuple[float, float]:
     """(WS-SSIM, SSIM) of one plane pair, from one SSIM map."""
     smap = ssim_map(ref, test, peak)
-    wmap = _resolve_weights(weights, *np.asarray(ref).shape)
+    wmap = WeightMap.for_frame(*np.asarray(ref).shape).as_array()
     wmap = wmap[_RADIUS:-_RADIUS, _RADIUS:-_RADIUS]
     return float((smap * wmap).sum() / wmap.sum()), float(smap.mean())
 
 
-def ws_ssim(ref, test, peak: float = 255.0, weights=None) -> float:
+def ws_ssim(ref, test, peak: float = 255.0) -> float:
     """SSIM map weighted by latitude cosines at the window centers."""
-    return ssim_means(ref, test, peak, weights)[0]
+    return ssim_means(ref, test, peak)[0]
 
 
 def ssim(ref, test, peak: float = 255.0) -> float:

@@ -1,8 +1,9 @@
 """im2col reference convolutions, kept only as a test oracle.
 
 The engine's convolutions (``odsr.engine.ops``) accumulate shifted matmuls
-per kernel tap and scatter transposed convolutions col2im-style.  These are
-the earlier im2col formulations they replaced: every window is copied into a
+per kernel tap, and run transposed convolutions as one sub-pixel
+correlation followed by a pixel shuffle.  These are the earlier im2col
+formulations they replaced: every window is copied into a
 ``sliding_window_view`` column buffer, processed in row bands of at most
 ``COL_BUDGET`` elements, and transposed convolutions zero-dilate and flip.
 Different summation order, same maths; the parity suite compares the two.

@@ -1,14 +1,16 @@
-"""Parity of the tap-accumulate / col2im conv core with the im2col oracle.
+"""Parity of the tap-accumulate conv core with the im2col oracle.
 
 Forward, input gradient and weight gradient of ``conv2d`` and
 ``conv_transpose2d`` over every shape class: 1x1, dense kxk, grouped,
-depthwise, strided, and transposed with output padding.  The oracle runs in
-float64 on the same inputs.  Tolerance, as a max-abs error over the RMS of
-the reference: 1e-5 in float32 (the kernels sum taps in another order than
-one im2col matmul), 1e-10 in float64.
+depthwise, strided, and transposed with output padding.  The transposed
+directions (conv2d's input gradient, conv_transpose2d's forward) run as one
+sub-pixel correlation; the pinned examples hold its edge cases.  The oracle
+runs in float64 on the same inputs.  Tolerance, as a max-abs error over the
+RMS of the reference: 1e-5 in float32 (the kernels sum taps in another order
+than one im2col matmul), 1e-10 in float64.
 """
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import conv_oracle as oracle
 from odsr.engine import ops
@@ -72,9 +74,21 @@ def inputs(c, wshape):
         c["dtype"])
 
 
+def case(ci, co, k, s, p, h, w, g=1, op=0, n=2, dtype=np.float32, seed=7):
+    return dict(n=n, ci=ci, co=co, k=k, s=s, p=p, g=g, op=op, h=h, w=w,
+                dtype=dtype, seed=seed)
+
+
 class TestConvParity:
     @CASES
     @given(c=conv_case(transpose=False))
+    # kernel smaller than stride: most sub-pixel phases have no taps
+    @example(c=case(ci=2, co=3, k=1, s=4, p=0, h=9, w=6))
+    # (h + 2p - k) mod s != 0: the last input rows and columns get no gradient
+    @example(c=case(ci=3, co=2, k=5, s=4, p=1, h=10, w=9))
+    @example(c=case(ci=2, co=4, k=3, s=2, p=1, h=8, w=7, dtype=np.float64))
+    # depthwise at stride 2
+    @example(c=case(ci=4, co=8, k=3, s=2, p=1, h=9, w=8, g=4))
     def test_conv2d(self, c):
         k, s, p, g = c["k"], c["s"], c["p"], c["g"]
         x, w = inputs(c, (c["co"], c["ci"] // g, k, k))
@@ -89,6 +103,11 @@ class TestConvParity:
 
     @CASES
     @given(c=conv_case(transpose=True))
+    @example(c=case(ci=3, co=2, k=1, s=4, p=0, op=3, h=3, w=4))
+    # output_padding > padding: the last output row and column see no input
+    @example(c=case(ci=2, co=3, k=4, s=2, p=0, op=1, h=4, w=3))
+    # fsrcnn's x4 tail
+    @example(c=case(ci=56, co=3, k=9, s=4, p=4, op=3, h=3, w=4, n=1))
     def test_conv_transpose2d(self, c):
         k, s, p, op = c["k"], c["s"], c["p"], c["op"]
         x, w = inputs(c, (c["ci"], c["co"], k, k))
