@@ -9,13 +9,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.fft import fft2, ifft2
 from scipy.special import erf
 
 from .tensor import Tensor, active_tape
 
-# Accumulator elements per column block of a tap-accumulated correlation:
-# the block and one tap's product stay in cache while every tap is added.
+# Elements per column block of a correlation's accumulator or stacked
+# operand, whichever is larger: the block stays in cache across its taps.
 _BLOCK = 1 << 17
 # Elements per block of the float32 GELU kernel: its four scratch rows stay
 # in cache across the 27 passes of the rational erf.
@@ -319,51 +320,113 @@ def _phases(x: np.ndarray, s: int, p: int, hq: int, wq: int) -> np.ndarray:
     return buf.reshape(s, s, ci, n * hq * wq)
 
 
+def _stacking(cig: int, cog: int, taps: int, g: int) -> tuple[int, int]:
+    """Rows per group of the stacked GEMM operand (0: one GEMM per tap) and
+    the columns per block, so a block's accumulator and stacked operand
+    stay in cache.
+
+    All taps share one GEMM when a group has at most as many inputs as
+    outputs, so a thin input side does not make a thin inner dimension.
+    One tap, depthwise groups and ``ci/g > co/g`` keep a GEMM per tap.
+    """
+    stacked = taps * cig if taps > 1 and 1 < cig <= cog else 0
+    return stacked, max(1, _BLOCK // (g * max(cog, stacked)))
+
+
+def _tap_order(kh: int, kw: int, s: int) -> list[int]:
+    """Flat taps i*kw + j stride phase by stride phase: one phase's taps
+    read one phase buffer on a regular grid of offsets."""
+    return [i * kw + j for a in range(min(s, kh)) for b in range(min(s, kw))
+            for i in range(a, kh, s) for j in range(b, kw, s)]
+
+
+def _operands(flat: np.ndarray, col: np.ndarray | None, kh: int, kw: int,
+              s: int, wq: int, c0: int, c1: int) -> list[np.ndarray]:
+    """Columns [c0, c1) of every tap's shifted slice of ``flat``, in
+    :func:`_tap_order`: one view per tap, or with a scratch ``col``
+    [g, taps*ci/g, block] one operand stacked tap-major, filled by one
+    strided copy per stride phase."""
+    n = c1 - c0
+    if col is None:
+        views = []
+        for t in _tap_order(kh, kw, s):
+            i, j = divmod(t, kw)
+            off = c0 + i // s * wq + j // s
+            views.append(flat[i % s, j % s, :, :, off:off + n])
+        return views
+    _, _, g, cig, _ = flat.shape
+    sg, sc, e = flat.strides[2:]
+    row = 0
+    for a, b in np.ndindex(min(s, kh), min(s, kw)):
+        # phase (a, b) holds taps (a + u*s, b + v*s), at offsets u*wq + v
+        nu, nv = -(-(kh - a) // s), -(-(kw - b) // s)
+        rows = nu * nv * cig
+        col[:, row:row + rows, :n].reshape(g, nu, nv, cig, n)[...] = \
+            as_strided(flat[a, b, :, :, c0:], (g, nu, nv, cig, n),
+                       (sg, wq * e, e, sc, e), writeable=False)
+        row += rows
+    return [col[:, :, :n]]
+
+
 def _corr(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
           groups: int) -> np.ndarray:
     """Grouped strided cross-correlation, NCHW x [oc, ic/g, kh, kw].
 
-    Tap accumulation: out += W[:, :, i, j] @ (input shifted by tap (i, j))
-    over a flat channels-first buffer, one column block at a time so the
-    accumulator stays in cache; no im2col buffer.  Depthwise groups (one
-    input channel each) use a broadcast multiply in place of the matmul.
+    GEMMs over a flat channels-first buffer of the padded input, one block
+    of whole rows at a time so the accumulator stays in cache, each block
+    copied straight into the output.  With ``ci/g <= co/g`` one GEMM per
+    block reads a block-sized stacked buffer of every tap's shifted slice;
+    otherwise each tap's product is added in (tap accumulation).  Depthwise
+    groups (one input channel each) use a broadcast multiply in place of
+    the matmul.
     """
     n, ci, h, wd = x.shape
     co, cig, kh, kw = w.shape
     s, g = stride, groups
     oh, ow, hq, wq = _geometry(h, wd, kh, kw, s, padding)
     dtype = np.result_type(x, w)
+    out = np.empty((n, co, oh, ow), dtype=dtype)
     if kh == kw == 1 and s == 1 and padding == 0 and g == 1:
-        out = np.empty((n, co, h, wd), dtype=dtype)
         np.matmul(w.reshape(co, ci), x.reshape(n, ci, h * wd),
                   out=out.reshape(n, co, h * wd))
         return out
     flat = _phases(x, s, padding, hq, wq).reshape(s, s, g, cig, -1)
-    wt = np.ascontiguousarray(
-        w.reshape(g, co // g, cig, kh, kw).transpose(3, 4, 0, 1, 2))
+    stacked, block = _stacking(cig, co // g, kh * kw, g)
+    # [g, co/g, ci/g, taps] -> [1, g, co/g, taps*ci/g] or [taps, g, co/g, ci/g]
+    wt = w.reshape(g, co // g, cig, kh * kw)[..., _tap_order(kh, kw, s)]
+    wt = wt.transpose(0, 1, 3, 2).reshape(1, g, co // g, -1) if stacked \
+        else np.ascontiguousarray(wt.transpose(3, 0, 1, 2))
     product = np.multiply if cig == 1 else np.matmul
-    acc = np.empty((g, co // g, n * hq * wq), dtype=dtype)
-    length = (n - 1) * hq * wq + (oh - 1) * wq + ow
-    block = min(length, max(1, _BLOCK // co))
-    tmp = np.empty((g, co // g, block), dtype=dtype)
-    for c0 in range(0, length, block):
-        c1 = min(c0 + block, length)
-        part, prod = acc[:, :, c0:c1], tmp[:, :, :c1 - c0]
-        for t, (i, j) in enumerate(np.ndindex(kh, kw)):
-            off = c0 + (i // s) * wq + j // s
-            src = flat[i % s, j % s, :, :, off:off + c1 - c0]
-            if t == 0:
-                product(wt[i, j], src, out=part)
+    rows = max(1, block // wq)
+    acc = np.empty((g, co // g, rows * wq), dtype=dtype)
+    tmp = np.empty_like(acc) if len(wt) > 1 else None
+    col = np.empty((g, stacked, rows * wq), dtype=flat.dtype) \
+        if stacked else None
+    last = (n - 1) * hq + oh  # padded rows through the last output row
+    for r0 in range(0, last, rows):
+        r1 = min(r0 + rows, last)
+        c0, c1 = r0 * wq, (r1 - 1) * wq + ow
+        part = acc[:, :, :c1 - c0]
+        for k, src in enumerate(_operands(flat, col, kh, kw, s, wq, c0, c1)):
+            if k == 0:
+                product(wt[k], src, out=part)
             else:
-                product(wt[i, j], src, out=prod)
+                prod = tmp[:, :, :c1 - c0]
+                product(wt[k], src, out=prod)
                 part += prod
-    return acc.reshape(co, n, hq, wq)[:, :, :oh, :ow].transpose(
-        1, 0, 2, 3).copy()
+        done = acc.reshape(co, rows, wq)
+        for m in range(r0 // hq, (r1 - 1) // hq + 1):
+            a, b = max(r0, m * hq), min(r1, m * hq + oh)
+            if a < b:
+                out[m, :, a - m * hq:b - m * hq] = done[:, a - r0:b - r0, :ow]
+    return out
 
 
 def _corr_wgrad(x: np.ndarray, gout: np.ndarray, kh: int, kw: int,
                 stride: int, padding: int, groups: int) -> np.ndarray:
-    """Weight gradient of :func:`_corr`: one shifted matmul per tap."""
+    """Weight gradient of :func:`_corr`, with the taps grouped as there: one
+    GEMM per tap over all columns, or one GEMM per block-sized stacked
+    buffer, accumulated over the blocks."""
     n, ci, h, wd = x.shape
     _, co, oh, ow = gout.shape
     s, g = stride, groups
@@ -374,13 +437,31 @@ def _corr_wgrad(x: np.ndarray, gout: np.ndarray, kh: int, kw: int,
     gz[:, :, :oh, :ow] = gout.transpose(1, 0, 2, 3)
     length = (n - 1) * hq * wq + (oh - 1) * wq + ow
     gm = gz.reshape(g, co // g, -1)[:, :, :length]
-    gw = np.empty((kh, kw, g, co // g, cig), dtype=np.result_type(x, gout))
-    for i, j in np.ndindex(kh, kw):
-        off = (i // s) * wq + j // s
-        src = flat[i % s, j % s, :, :, off:off + length]
-        np.matmul(gm, src.transpose(0, 2, 1), out=gw[i, j])
-    return np.ascontiguousarray(
-        gw.reshape(kh, kw, co, cig).transpose(2, 3, 0, 1))
+    dtype = np.result_type(x, gout)
+    stacked, block = _stacking(cig, co // g, kh * kw, g)
+    block = min(block, length) if stacked else length
+    col = np.empty((g, stacked, block), dtype=flat.dtype) if stacked else None
+    rows = stacked or cig
+    # the larger of the operand's rows and co/g leads: BLAS runs a GEMM
+    # with a thin leading side slower at these shapes
+    lead = rows > co // g
+    parts = np.empty((1 if stacked else kh * kw, g) + (
+        (rows, co // g) if lead else (co // g, rows)), dtype=dtype)
+    tmp = np.empty_like(parts[0])
+    for c0 in range(0, length, block):
+        c1 = min(c0 + block, length)
+        srcs = _operands(flat, col, kh, kw, s, wq, c0, c1)
+        for dst, src in zip(parts, srcs):
+            a, b = (src, gm[:, :, c0:c1]) if lead else (gm[:, :, c0:c1], src)
+            np.matmul(a, b.transpose(0, 2, 1), out=tmp if c0 else dst)
+            if c0:
+                dst += tmp
+    if not lead:
+        parts = parts.transpose(0, 1, 3, 2)
+    gw = np.empty((g, co // g, cig, kh * kw), dtype=dtype)
+    gw[..., _tap_order(kh, kw, s)] = parts.transpose(1, 0, 2, 3).reshape(
+        g, -1, cig, co // g).transpose(0, 3, 2, 1)
+    return gw.reshape(co, cig, kh, kw)
 
 
 def _corr_transpose(x: np.ndarray, w: np.ndarray, stride: int, padding: int,

@@ -9,6 +9,8 @@ FIR filters, taken from the matrix rows, instead of the dense product.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.ndimage import correlate1d
 
@@ -40,9 +42,14 @@ _KERNELS = {
 }
 
 
+@lru_cache(maxsize=16)
 def resize_matrix(src: int, dst: int, kernel: str = "cubic",
                   antialias: bool = True) -> np.ndarray:
-    """(dst, src) row-stochastic sampling matrix along one axis."""
+    """(dst, src) row-stochastic sampling matrix along one axis.
+
+    Memoized (a training run degrades every patch with the same two), so
+    the matrix is read-only.
+    """
     if src < 1 or dst < 1:
         raise ValueError(f"sizes must be positive, got {src} -> {dst}")
     try:
@@ -70,6 +77,7 @@ def resize_matrix(src: int, dst: int, kernel: str = "cubic",
             raise ValueError(
                 f"degenerate kernel row at output {rows[zero[0]]}")
         np.add.at(mat, (rows[:, None], np.clip(taps, 0, src - 1)), w / total)
+    mat.flags.writeable = False
     return mat
 
 

@@ -89,6 +89,12 @@ class TestConvParity:
     @example(c=case(ci=2, co=4, k=3, s=2, p=1, h=8, w=7, dtype=np.float64))
     # depthwise at stride 2
     @example(c=case(ci=4, co=8, k=3, s=2, p=1, h=9, w=8, g=4))
+    # ci = co: the smallest conv whose taps share one stacked GEMM
+    @example(c=case(ci=3, co=3, k=3, s=1, p=1, h=6, w=7))
+    # stacked per group: g=2, ci/g=2, co/g=3
+    @example(c=case(ci=4, co=6, k=3, s=1, p=1, h=7, w=5, g=2))
+    # stacked at stride 2, one strided copy per stride phase
+    @example(c=case(ci=2, co=5, k=5, s=2, p=2, h=9, w=11))
     def test_conv2d(self, c):
         k, s, p, g = c["k"], c["s"], c["p"], c["g"]
         x, w = inputs(c, (c["co"], c["ci"] // g, k, k))
@@ -108,6 +114,9 @@ class TestConvParity:
     @example(c=case(ci=2, co=3, k=4, s=2, p=0, op=1, h=4, w=3))
     # fsrcnn's x4 tail
     @example(c=case(ci=56, co=3, k=9, s=4, p=4, op=3, h=3, w=4, n=1))
+    # fsrcnn's x2 tail: its input and weight gradients stack 81 taps of a
+    # 3-channel side
+    @example(c=case(ci=56, co=3, k=9, s=2, p=4, op=1, h=5, w=6))
     def test_conv_transpose2d(self, c):
         k, s, p, op = c["k"], c["s"], c["p"], c["op"]
         x, w = inputs(c, (c["ci"], c["co"], k, k))

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -210,6 +211,9 @@ class TestConv:
         x = rnd(2, 4, 9, 10, seed=15)
         w = rnd(8, 4 // groups, 3, 3, seed=16)
         wt = rnd(4, 3, 5, 5, seed=17)
+        # a thin input side: 2 -> 8, 5x5 stacks its 25 taps per GEMM
+        xs, ws = rnd(2, 2, 9, 10, seed=18), rnd(8, 2, 5, 5, seed=19)
+        assert ops._stacking(2, 8, 25, 1)[0]
 
         def run():
             with Tape() as tape:
@@ -218,14 +222,31 @@ class TestConv:
                 z = ops.conv_transpose2d(y, Tensor(rnd(8, 3, 5, 5)), None,
                                          2, 2, 1)
                 t = ops.conv_transpose2d(Tensor(x), Tensor(wt), None, 2, 1)
-                loss = ops.tsum(z) + ops.tsum(t)
+                u = ops.conv2d(Tensor(xs), ops.ConvParams(
+                    weight=Tensor(ws), stride=1, padding=2, groups=1))
+                loss = ops.tsum(z) + ops.tsum(t) + ops.tsum(u)
             grads = backward(tape, loss)
-            return [z.data, t.data, *grads.values()]
+            return [z.data, t.data, u.data, *grads.values()]
 
         whole = run()
         monkeypatch.setattr(ops, "_BLOCK", 16)
         for a, b in zip(run(), whole):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    def test_corr_memory_stays_block_sized(self):
+        """A thin-input conv stacks its taps one column block at a time: the
+        traced peak stays under the output, the padded input and a few
+        blocks, where a full im2col buffer alone would take 39 MB."""
+        x = rnd(1, 3, 270, 480, seed=20, dtype=np.float32)
+        w = rnd(56, 3, 5, 5, seed=21, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            out = ops._corr(x, w, 1, 2, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        padded = 3 * 274 * 484 * x.itemsize
+        assert peak < out.nbytes + padded + 4 * ops._BLOCK * x.itemsize
 
     def test_conv_transpose_matches_upsample_identity(self):
         x = rnd(1, 2, 5, 5, seed=17)

@@ -279,6 +279,13 @@ class TestResample:
         np.testing.assert_array_equal(got.view(np.int64),
                                       want.view(np.int64))
 
+    def test_matrix_is_memoized_read_only(self):
+        # a training run degrades every patch with the same matrices
+        mat = resample.resize_matrix(64, 32)
+        assert resample.resize_matrix(64, 32) is mat
+        with pytest.raises(ValueError, match="read-only"):
+            mat[0, 0] = 1.0
+
     def test_cubic_interpolates_linear_ramp(self):
         # Catmull-Rom reproduces degree-1 polynomials away from borders
         src = np.arange(16, dtype=np.float64)[None, :].repeat(4, axis=0)
