@@ -17,6 +17,8 @@ from .tensor import Tensor, active_tape
 
 # Elements per column block of a correlation's accumulator or stacked
 # operand, whichever is larger: the block stays in cache across its taps.
+# A forward block holds at least one padded row, so on planes wider than
+# _BLOCK / max(co/g, taps*ci/g) columns it grows to one row.
 _BLOCK = 1 << 17
 # Elements per block of the float32 GELU kernel: its four scratch rows stay
 # in cache across the 27 passes of the rational erf.
@@ -327,7 +329,8 @@ def _stacking(cig: int, cog: int, taps: int, g: int) -> tuple[int, int]:
 
     All taps share one GEMM when a group has at most as many inputs as
     outputs, so a thin input side does not make a thin inner dimension.
-    One tap, depthwise groups and ``ci/g > co/g`` keep a GEMM per tap.
+    One tap, depthwise groups and ``ci/g > co/g`` keep a GEMM per tap:
+    there the stacking copy costs more than the wider GEMM saves.
     """
     stacked = taps * cig if taps > 1 and 1 < cig <= cog else 0
     return stacked, max(1, _BLOCK // (g * max(cog, stacked)))
@@ -373,12 +376,12 @@ def _corr(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
     """Grouped strided cross-correlation, NCHW x [oc, ic/g, kh, kw].
 
     GEMMs over a flat channels-first buffer of the padded input, one block
-    of whole rows at a time so the accumulator stays in cache, each block
-    copied straight into the output.  With ``ci/g <= co/g`` one GEMM per
-    block reads a block-sized stacked buffer of every tap's shifted slice;
-    otherwise each tap's product is added in (tap accumulation).  Depthwise
-    groups (one input channel each) use a broadcast multiply in place of
-    the matmul.
+    of whole rows at a time (at least one row) so the accumulator stays in
+    cache, each block copied straight into the output.  With
+    ``ci/g <= co/g`` one GEMM per block reads a block-sized stacked buffer
+    of every tap's shifted slice; otherwise each tap's product is added in
+    (tap accumulation).  Depthwise groups (one input channel each) use a
+    broadcast multiply in place of the matmul.
     """
     n, ci, h, wd = x.shape
     co, cig, kh, kw = w.shape
@@ -441,23 +444,18 @@ def _corr_wgrad(x: np.ndarray, gout: np.ndarray, kh: int, kw: int,
     stacked, block = _stacking(cig, co // g, kh * kw, g)
     block = min(block, length) if stacked else length
     col = np.empty((g, stacked, block), dtype=flat.dtype) if stacked else None
-    rows = stacked or cig
-    # the larger of the operand's rows and co/g leads: BLAS runs a GEMM
-    # with a thin leading side slower at these shapes
-    lead = rows > co // g
-    parts = np.empty((1 if stacked else kh * kw, g) + (
-        (rows, co // g) if lead else (co // g, rows)), dtype=dtype)
-    tmp = np.empty_like(parts[0])
+    # operand @ goutᵀ: [1 or taps, g, taps*ci/g or ci/g, co/g]
+    parts = np.empty((1 if stacked else kh * kw, g, stacked or cig, co // g),
+                     dtype=dtype)
+    tmp = np.empty_like(parts[0]) if stacked else None
     for c0 in range(0, length, block):
         c1 = min(c0 + block, length)
         srcs = _operands(flat, col, kh, kw, s, wq, c0, c1)
         for dst, src in zip(parts, srcs):
-            a, b = (src, gm[:, :, c0:c1]) if lead else (gm[:, :, c0:c1], src)
-            np.matmul(a, b.transpose(0, 2, 1), out=tmp if c0 else dst)
+            np.matmul(src, gm[:, :, c0:c1].transpose(0, 2, 1),
+                      out=tmp if c0 else dst)
             if c0:
                 dst += tmp
-    if not lead:
-        parts = parts.transpose(0, 1, 3, 2)
     gw = np.empty((g, co // g, cig, kh * kw), dtype=dtype)
     gw[..., _tap_order(kh, kw, s)] = parts.transpose(1, 0, 2, 3).reshape(
         g, -1, cig, co // g).transpose(0, 3, 2, 1)
