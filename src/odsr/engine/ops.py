@@ -558,11 +558,24 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 # -- pixel shuffle --------------------------------------------------------
 
 def _shuffle_array(x: np.ndarray, r: int) -> np.ndarray:
+    """[n, c*r^2, h, w] -> [n, c, h*r, w*r]; r = 1 makes no copy.
+
+    Up to r = 4 each of the r^2 phases is one strided copy whose inner loop
+    runs along a row: a whole-array transposed copy would run its inner
+    loop over the r phase columns, which numpy walks slowly for small r.
+    Beyond, r^2 copies cost more than the short inner loop.
+    """
     n, c, h, w = x.shape
     c2 = c // (r * r)
-    val = x.reshape(n, c2, r, r, h, w).transpose(
-        0, 1, 4, 2, 5, 3).reshape(n, c2, h * r, w * r)
-    return np.ascontiguousarray(val)
+    x6 = x.reshape(n, c2, r, r, h, w)
+    if r == 1 or r > 4:
+        return np.ascontiguousarray(x6.transpose(0, 1, 4, 2, 5, 3).reshape(
+            n, c2, h * r, w * r))
+    out = np.empty((n, c2, h, r, w, r), dtype=x.dtype)
+    for a in range(r):
+        for b in range(r):
+            out[:, :, :, a, :, b] = x6[:, :, a, b]
+    return out.reshape(n, c2, h * r, w * r)
 
 
 def _unshuffle_array(x: np.ndarray, r: int) -> np.ndarray:
@@ -591,6 +604,60 @@ def pixel_unshuffle(x: Tensor, r: int) -> Tensor:
         raise ValueError(f"spatial dims {h}x{w} not divisible by r = {r}")
     out = Tensor(_unshuffle_array(x.data, r))
     return _record((x,), out, lambda g: (_shuffle_array(g, r),))
+
+
+def _nearest_fold(s: int, dtype) -> np.ndarray:
+    """[s, 3, 3] 0/1 map f[a, u, i]: on a map nearest-upsampled by ``s``,
+    3x3 tap i of output phase a reads the source at offset u - 1."""
+    f = np.zeros((s, 3, 3), dtype=dtype)
+    for a in range(s):
+        for i in range(3):
+            f[a, (a + i - 1) // s + 1, i] = 1
+    return f
+
+
+def upsample_conv3x3(x: Tensor, weight: Tensor, bias: Tensor, skip: Tensor,
+                     scale: int) -> Tensor:
+    """conv3x3(nearest_up(x, s), padding 1) + bias + nearest_up(skip, s).
+
+    x [n, c, h, w], weight [co, c, 3, 3], bias [co], skip [n, co, h, w] ->
+    [n, co, h*s, w*s], computed without building the upsampled map: a 3x3
+    conv of a nearest-upsampled map is a sub-pixel conv of the source (Shi
+    et al., arXiv:1609.07009).  The weight is folded into one 3x3 weight
+    per output phase, [co*s^2, c, 3, 3]; one stride-1 correlation at the
+    source size computes every phase, the bias and skip are added to each
+    phase there, and a pixel shuffle interleaves the phases.  The MACs are
+    those of the conv at the upsampled size.
+    """
+    n, c, h, w = x.shape
+    co = weight.shape[0]
+    s = scale
+    if s < 1:
+        raise ValueError(f"scale must be >= 1, got {s}")
+    if weight.shape != (co, c, 3, 3) or bias.shape != (co,) \
+            or skip.shape != (n, co, h, w):
+        raise ValueError(
+            f"shapes x {x.shape}, weight {weight.shape}, bias {bias.shape}, "
+            f"skip {skip.shape} do not fit a 3x3 conv plus skip")
+    f = _nearest_fold(s, weight.data.dtype)
+    wl = np.einsum("aui,bvj,ocij->oabcuv", f, f, weight.data).reshape(
+        co * s * s, c, 3, 3)
+    z = _corr(x.data, wl, 1, 1, 1)
+    phases = z.reshape(n, co, s * s, h, w)
+    phases += bias.data[:, None, None, None]
+    phases += skip.data[:, :, None]
+    out = Tensor(_shuffle_array(z, s))
+
+    def vjp(g):
+        gz = _unshuffle_array(g, s)
+        gx = _corr_transpose(gz, wl, 1, 1, (h, w), 1)
+        gwl = _corr_wgrad(x.data, gz, 3, 3, 1, 1, 1)
+        gw = np.einsum("aui,bvj,oabcuv->ocij", f, f,
+                       gwl.reshape(co, s, s, c, 3, 3))
+        return (gx, gw, g.sum(axis=(0, 2, 3)),
+                gz.reshape(n, co, s * s, h, w).sum(axis=2))
+
+    return _record((x, weight, bias, skip), out, vjp)
 
 
 # -- pooling and resampling -----------------------------------------------

@@ -439,18 +439,35 @@ class ParallelConcat:
 
 @dataclass(frozen=True)
 class UpsampleAddSkip:
-    """y = body(x) + nearest_upsample(x, scale); the global SR residual."""
+    """y = body(x) + nearest_upsample(x, scale); the global SR residual.
+
+    The body must end in ``RepeatChannels(s^2), PixelShuffle(s), Conv(c,
+    c_in, 3, padding=1)``: a 3x3 conv of the nearest-upsampled features.
+    That tail and the skip run as one sub-pixel conv at LR
+    (:func:`~odsr.engine.ops.upsample_conv3x3`), so no upsampled feature
+    map is built; the parameters keep the tail Conv's names.
+    """
 
     scale: int
     body: tuple
 
     def specs(self, c_in: int, path: str) -> tuple[list[ParamSpec], int]:
-        return _same_channels("UpsampleAddSkip", self.body, c_in, path)
+        specs, c = _same_channels("UpsampleAddSkip", self.body, c_in, path)
+        s = self.scale
+        tail = self.body[-3:]
+        if tail[:2] != (RepeatChannels(s * s), PixelShuffle(s)) \
+                or not isinstance(tail[-1], Conv) \
+                or tail[-1] != Conv(tail[-1].in_ch, c, 3, padding=1):
+            raise ValueError(
+                f"UpsampleAddSkip body must end in RepeatChannels({s * s}), "
+                f"PixelShuffle({s}), Conv(c, {c}, 3, padding=1)")
+        return specs, c
 
     def forward(self, x: Tensor, P, path: str) -> Tensor:
-        h, w = x.shape[2], x.shape[3]
-        up = ops.upsample_nearest(x, (h * self.scale, w * self.scale))
-        return ops.add(run_layers(self.body, x, P, path), up)
+        feat = run_layers(self.body[:-3], x, P, path)
+        conv = f"{path}.{len(self.body) - 1}"
+        return ops.upsample_conv3x3(feat, P[f"{conv}.w"], P[f"{conv}.b"], x,
+                                    self.scale)
 
     def flops(self, s: Shape) -> tuple[int, Shape]:
         total, out_s = _layers_flops(self.body, s)

@@ -90,6 +90,16 @@ class TestConvGrads:
 
         check_gradients(fn, [x, w])
 
+    def test_upsample_conv3x3_all_inputs(self):
+        for s, seed in ((2, 33), (3, 37)):
+            x = rnd(2, 2, 3, 4, seed=seed)
+            w = rnd(3, 2, 3, 3, seed=seed + 1)
+            b = rnd(3, seed=seed + 2)
+            skip = rnd(2, 3, 3, 4, seed=seed + 3)
+            check_gradients(
+                lambda xt, wt, bt, st: ops.upsample_conv3x3(xt, wt, bt, st, s),
+                [x, w, b, skip])
+
     def test_conv_transpose_all_inputs(self):
         x = rnd(1, 2, 4, 4, seed=17)
         w = rnd(2, 3, 4, 4, seed=18)

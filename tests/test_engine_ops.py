@@ -276,6 +276,54 @@ class TestConv:
                            stride=1, padding=1, groups=5)
 
 
+class TestUpsampleConv3x3:
+    """The LR sub-pixel op against the HR composition it replaces."""
+
+    # max |error| / RMS of the reference: float64 only reorders sums; the
+    # float32 bound covers the folded weights' pre-summed taps (measured
+    # under 1e-6).
+    BOUND = {np.float64: 1e-12, np.float32: 1e-5}
+
+    @staticmethod
+    def composed(x, w, b, skip, s):
+        _, _, h, wd = x.shape
+        up = ops.pixel_shuffle(ops.repeat_channels(x, s * s), s)
+        y = ops.conv2d(up, ops.ConvParams(w, b, 1, 1, 1))
+        return ops.add(y, ops.upsample_nearest(skip, (h * s, wd * s)))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("s", [2, 4])
+    def test_matches_composition(self, s, dtype):
+        arrays = [rnd(2, 5, 7, 9, seed=40), rnd(3, 5, 3, 3, seed=41),
+                  rnd(3, seed=42), rnd(2, 3, 7, 9, seed=43)]
+        arrays = [a.astype(dtype) for a in arrays]
+        cot = rnd(2, 3, 7 * s, 9 * s, seed=44, dtype=dtype)
+        results = []
+        for fn in (self.composed, ops.upsample_conv3x3):
+            ts = [Tensor(a) for a in arrays]
+            with Tape() as tape:
+                y = fn(*ts, s)
+                loss = ops.tsum(ops.mul(y, Tensor(cot)))
+            grads = backward(tape, loss)
+            results.append([y.data] + [grads[t] for t in ts])
+        for want, got in zip(*results):
+            assert got.dtype == dtype and got.shape == want.shape
+            rms = np.sqrt(np.mean(want.astype(np.float64) ** 2))
+            assert np.abs(got - want).max() <= self.BOUND[dtype] * rms
+
+    def test_shape_validation(self):
+        x, w, b = rnd(1, 4, 3, 3), rnd(3, 4, 3, 3), rnd(3)
+        with pytest.raises(ValueError, match="scale"):
+            ops.upsample_conv3x3(Tensor(x), Tensor(w), Tensor(b),
+                                 Tensor(rnd(1, 3, 3, 3)), 0)
+        with pytest.raises(ValueError, match="skip"):
+            ops.upsample_conv3x3(Tensor(x), Tensor(w), Tensor(b),
+                                 Tensor(rnd(1, 4, 3, 3)), 2)
+        with pytest.raises(ValueError, match="weight"):
+            ops.upsample_conv3x3(Tensor(x), Tensor(rnd(3, 4, 5, 5)),
+                                 Tensor(b), Tensor(rnd(1, 3, 3, 3)), 2)
+
+
 class TestShuffleAndPool:
     def test_pixel_shuffle_reference(self):
         x = rnd(2, 8, 3, 4, seed=19)
@@ -283,6 +331,19 @@ class TestShuffleAndPool:
         want = x.reshape(2, 2, 2, 2, 3, 4).transpose(0, 1, 4, 2, 5, 3)
         want = want.reshape(2, 2, 6, 8)
         np.testing.assert_array_equal(out, want)
+
+    @pytest.mark.parametrize("r", [1, 3, 4, 5, 8])
+    def test_shuffle_array_every_factor(self, r):
+        """Per-phase copies (r <= 4) and the transposed copy agree."""
+        x = rnd(2, 2 * r * r, 3, 5, seed=19)
+        out = ops._shuffle_array(x, r)
+        want = x.reshape(2, 2, r, r, 3, 5).transpose(0, 1, 4, 2, 5, 3)
+        np.testing.assert_array_equal(out, want.reshape(2, 2, 3 * r, 5 * r))
+        assert out.flags.c_contiguous
+
+    def test_pixel_shuffle_by_one_makes_no_copy(self):
+        x = rnd(1, 3, 4, 5, seed=19)
+        assert np.shares_memory(ops._shuffle_array(x, 1), x)
 
     def test_shuffle_unshuffle_inverse(self):
         x = rnd(1, 12, 4, 6, seed=20)

@@ -2,6 +2,7 @@
 import hashlib
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,21 @@ class TestBuilders:
     def test_unsupported_scale(self):
         with pytest.raises(ValueError):
             builders.build("ffcir", 3)
+
+    def test_vacv_forward_builds_no_hr_feature_map(self):
+        """vacv's upsampling tail runs at LR: an x4 forward peaks below the
+        size of one 44-channel map at the output resolution."""
+        net = networks.Network.init(builders.build("vacv", 4), seed=0)
+        h, w = 32, 48
+        x = Tensor(np.random.default_rng(0).random((1, 3, h, w),
+                                                   dtype=np.float32))
+        tracemalloc.start()
+        try:
+            net(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 44 * (4 * h) * (4 * w) * x.data.itemsize
 
     def test_forward_deterministic(self):
         net = networks.Network.init(builders.build("vacv", 2), seed=5)
@@ -124,6 +140,22 @@ MISWIRED = {
     "upsample_add_skip": (
         (blocks.UpsampleAddSkip(2, (blocks.Conv(3, 4, 1),)),),
         "UpsampleAddSkip body maps 3 -> 4 channels"),
+    "upsample_add_skip_tail": (
+        (blocks.UpsampleAddSkip(2, (blocks.Conv(3, 3, 3, padding=1),)),),
+        "UpsampleAddSkip body must end in RepeatChannels(4), PixelShuffle(2), "
+        "Conv(c, 3, 3, padding=1)"),
+    "upsample_add_skip_scale": (
+        (blocks.UpsampleAddSkip(2, (blocks.RepeatChannels(16),
+                                    blocks.PixelShuffle(4),
+                                    blocks.Conv(3, 3, 3, padding=1))),),
+        "UpsampleAddSkip body must end in RepeatChannels(4), PixelShuffle(2), "
+        "Conv(c, 3, 3, padding=1)"),
+    "upsample_add_skip_kernel": (
+        (blocks.UpsampleAddSkip(2, (blocks.RepeatChannels(4),
+                                    blocks.PixelShuffle(2),
+                                    blocks.Conv(3, 3, 1))),),
+        "UpsampleAddSkip body must end in RepeatChannels(4), PixelShuffle(2), "
+        "Conv(c, 3, 3, padding=1)"),
     "network_tail": ((blocks.Conv(3, 4, 1),),
                      "network must end with 3 channels, got 4"),
     "parallel_branch": ((blocks.ParallelConcat(((blocks.Conv(3, 3, 1),),

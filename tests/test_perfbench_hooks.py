@@ -1,0 +1,48 @@
+"""The names perfbench's tracer wraps still exist in ``odsr``.
+
+``perfbench/spans.py`` replaces ``odsr`` functions and methods by name for a
+traced run (``perfbench/run.py --trace 1``). A rename in ``src/`` would make
+that run fail with a ``KeyError``; this test fails first.
+"""
+import importlib.util
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+
+from odsr import harness, media, metrics, trainer
+from odsr.engine import ops, tensor
+from odsr.models import blocks, builders, networks, resample
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_install_all_wraps_and_restore_puts_back():
+    spans = _load_spans()
+    odsr = SimpleNamespace(ops=ops, tensor=tensor, blocks=blocks,
+                           networks=networks, resample=resample, media=media,
+                           metrics=metrics, harness=harness, trainer=trainer)
+    net = networks.Network.init(builders.build("vacv", 2), seed=0)
+    x = tensor.Tensor(np.random.default_rng(0).random((1, 3, 8, 8),
+                                                       dtype=np.float32))
+    want = net(x).data
+    tracer = spans.Tracer()
+    spans.install_all(tracer, odsr)
+    try:
+        wrapped = tracer.wrapped_names()
+        got = net(x).data
+    finally:
+        tracer.restore()
+    assert wrapped
+    for owner, attr, original in wrapped:
+        assert vars(owner)[attr] is original
+    np.testing.assert_array_equal(got, want)
+    names = {s[spans.NAME] for s in tracer.spans}
+    assert {"networks.forward", "blocks.UpsampleAddSkip"} <= names
