@@ -560,17 +560,15 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 def _shuffle_array(x: np.ndarray, r: int) -> np.ndarray:
     """[n, c*r^2, h, w] -> [n, c, h*r, w*r]; r = 1 makes no copy.
 
-    Up to r = 4 each of the r^2 phases is one strided copy whose inner loop
-    runs along a row: a whole-array transposed copy would run its inner
-    loop over the r phase columns, which numpy walks slowly for small r.
-    Beyond, r^2 copies cost more than the short inner loop.
+    Each of the r^2 phases is one strided copy whose inner loop runs along
+    a row: a whole-array transposed copy would run its inner loop over the
+    r phase columns, which numpy walks slowly.
     """
     n, c, h, w = x.shape
+    if r == 1:
+        return np.ascontiguousarray(x)
     c2 = c // (r * r)
     x6 = x.reshape(n, c2, r, r, h, w)
-    if r == 1 or r > 4:
-        return np.ascontiguousarray(x6.transpose(0, 1, 4, 2, 5, 3).reshape(
-            n, c2, h * r, w * r))
     out = np.empty((n, c2, h, r, w, r), dtype=x.dtype)
     for a in range(r):
         for b in range(r):

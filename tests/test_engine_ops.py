@@ -334,7 +334,7 @@ class TestShuffleAndPool:
 
     @pytest.mark.parametrize("r", [1, 3, 4, 5, 8])
     def test_shuffle_array_every_factor(self, r):
-        """Per-phase copies (r <= 4) and the transposed copy agree."""
+        """The per-phase copies match the whole-array transposed copy."""
         x = rnd(2, 2 * r * r, 3, 5, seed=19)
         out = ops._shuffle_array(x, r)
         want = x.reshape(2, 2, r, r, 3, 5).transpose(0, 1, 4, 2, 5, 3)
