@@ -18,7 +18,8 @@ from .tensor import Tensor, active_tape
 # Elements per column block of a correlation's accumulator or stacked
 # operand, whichever is larger: the block stays in cache across its taps.
 # A forward block holds at least one padded row, so on planes wider than
-# _BLOCK / max(co/g, taps*ci/g) columns it grows to one row.
+# _BLOCK / max(co/g, taps*ci/g) columns it grows to one row, and at most the
+# rows the input has, so small planes get small buffers.
 _BLOCK = 1 << 17
 # Elements per block of the float32 GELU kernel: its four scratch rows stay
 # in cache across the 27 passes of the rational erf.
@@ -400,12 +401,12 @@ def _corr(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
     wt = wt.transpose(0, 1, 3, 2).reshape(1, g, co // g, -1) if stacked \
         else np.ascontiguousarray(wt.transpose(3, 0, 1, 2))
     product = np.multiply if cig == 1 else np.matmul
-    rows = max(1, block // wq)
+    last = (n - 1) * hq + oh  # padded rows through the last output row
+    rows = min(max(1, block // wq), last)
     acc = np.empty((g, co // g, rows * wq), dtype=dtype)
     tmp = np.empty_like(acc) if len(wt) > 1 else None
     col = np.empty((g, stacked, rows * wq), dtype=flat.dtype) \
         if stacked else None
-    last = (n - 1) * hq + oh  # padded rows through the last output row
     for r0 in range(0, last, rows):
         r1 = min(r0 + rows, last)
         c0, c1 = r0 * wq, (r1 - 1) * wq + ow
@@ -537,8 +538,6 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     out_hw = ((h - 1) * s - 2 * p + kh + op, (wd - 1) * s - 2 * p + kw + op)
     if min(out_hw) < 1:
         raise ValueError("transposed conv output would be empty")
-    if kh - 1 - p < 0 or kw - 1 - p < 0:
-        raise ValueError(f"padding {p} larger than kernel-1 is unsupported")
     val = _corr_transpose(x.data, weight.data, s, p, out_hw, 1)
     if bias is not None:
         val += bias.data[None, :, None, None]
@@ -604,58 +603,31 @@ def pixel_unshuffle(x: Tensor, r: int) -> Tensor:
     return _record((x,), out, lambda g: (_shuffle_array(g, r),))
 
 
-def _nearest_fold(s: int, dtype) -> np.ndarray:
-    """[s, 3, 3] 0/1 map f[a, u, i]: on a map nearest-upsampled by ``s``,
-    3x3 tap i of output phase a reads the source at offset u - 1."""
-    f = np.zeros((s, 3, 3), dtype=dtype)
-    for a in range(s):
-        for i in range(3):
-            f[a, (a + i - 1) // s + 1, i] = 1
-    return f
+def resize_conv_kernel(weight: Tensor, scale: int) -> Tensor:
+    """Transposed-conv weight of a resize-convolution plus nearest skip.
 
-
-def upsample_conv3x3(x: Tensor, weight: Tensor, bias: Tensor, skip: Tensor,
-                     scale: int) -> Tensor:
-    """conv3x3(nearest_up(x, s), padding 1) + bias + nearest_up(skip, s).
-
-    x [n, c, h, w], weight [co, c, 3, 3], bias [co], skip [n, co, h, w] ->
-    [n, co, h*s, w*s], computed without building the upsampled map: a 3x3
-    conv of a nearest-upsampled map is a sub-pixel conv of the source (Shi
-    et al., arXiv:1609.07009).  The weight is folded into one 3x3 weight
-    per output phase, [co*s^2, c, 3, 3]; one stride-1 correlation at the
-    source size computes every phase, the bias and skip are added to each
-    phase there, and a pixel shuffle interleaves the phases.  The MACs are
-    those of the conv at the upsampled size.
+    weight [co, c, 3, 3] -> K [c+co, co, s+2, s+2] such that
+    ``conv_transpose2d(concat(x, skip), K, bias, s, 1)`` equals
+    conv3x3(nearest_up(x, s), padding 1) + bias + nearest_up(skip, s): a
+    3x3 conv of a nearest-upsampled map is one strided transposed conv of
+    the source (Odena et al., Distill 2016; Shi et al., arXiv:1609.07009).
+    Row c, column o is B w[o, c] Bᵀ, where B[j, i] = [0 <= j+i-2 < s] says
+    whether tap i of the upsampled conv lands on transposed tap j; skip row
+    c+o holds a ones box at [1:s+1, 1:s+1] in column o.
     """
-    n, c, h, w = x.shape
-    co = weight.shape[0]
     s = scale
     if s < 1:
         raise ValueError(f"scale must be >= 1, got {s}")
-    if weight.shape != (co, c, 3, 3) or bias.shape != (co,) \
-            or skip.shape != (n, co, h, w):
-        raise ValueError(
-            f"shapes x {x.shape}, weight {weight.shape}, bias {bias.shape}, "
-            f"skip {skip.shape} do not fit a 3x3 conv plus skip")
-    f = _nearest_fold(s, weight.data.dtype)
-    wl = np.einsum("aui,bvj,ocij->oabcuv", f, f, weight.data).reshape(
-        co * s * s, c, 3, 3)
-    z = _corr(x.data, wl, 1, 1, 1)
-    phases = z.reshape(n, co, s * s, h, w)
-    phases += bias.data[:, None, None, None]
-    phases += skip.data[:, :, None]
-    out = Tensor(_shuffle_array(z, s))
-
-    def vjp(g):
-        gz = _unshuffle_array(g, s)
-        gx = _corr_transpose(gz, wl, 1, 1, (h, w), 1)
-        gwl = _corr_wgrad(x.data, gz, 3, 3, 1, 1, 1)
-        gw = np.einsum("aui,bvj,oabcuv->ocij", f, f,
-                       gwl.reshape(co, s, s, c, 3, 3))
-        return (gx, gw, g.sum(axis=(0, 2, 3)),
-                gz.reshape(n, co, s * s, h, w).sum(axis=2))
-
-    return _record((x, weight, bias, skip), out, vjp)
+    if weight.ndim != 4 or weight.shape[2:] != (3, 3):
+        raise ValueError(f"weight must be [co, c, 3, 3], got {weight.shape}")
+    co, c = weight.shape[:2]
+    j = np.arange(s + 2)[:, None] + np.arange(3) - 2
+    box = ((j >= 0) & (j < s)).astype(weight.data.dtype)
+    k = np.zeros((c + co, co, s + 2, s + 2), dtype=box.dtype)
+    k[:c] = np.einsum("ji,ocim,lm->cojl", box, weight.data, box)
+    k[c + np.arange(co), np.arange(co), 1:s + 1, 1:s + 1] = 1
+    return _record((weight,), Tensor(k), lambda g: (
+        np.einsum("ji,cojl,lm->ocim", box, g[:c], box),))
 
 
 # -- pooling and resampling -----------------------------------------------

@@ -443,9 +443,10 @@ class UpsampleAddSkip:
 
     The body must end in ``RepeatChannels(s^2), PixelShuffle(s), Conv(c,
     c_in, 3, padding=1)``: a 3x3 conv of the nearest-upsampled features.
-    That tail and the skip run as one sub-pixel conv at LR
-    (:func:`~odsr.engine.ops.upsample_conv3x3`), so no upsampled feature
-    map is built; the parameters keep the tail Conv's names.
+    That tail and the skip run as one stride-s transposed conv of the LR
+    features and input (:func:`~odsr.engine.ops.resize_conv_kernel`), so
+    no upsampled feature map is built; the parameters keep the tail Conv's
+    names.
     """
 
     scale: int
@@ -466,8 +467,9 @@ class UpsampleAddSkip:
     def forward(self, x: Tensor, P, path: str) -> Tensor:
         feat = run_layers(self.body[:-3], x, P, path)
         conv = f"{path}.{len(self.body) - 1}"
-        return ops.upsample_conv3x3(feat, P[f"{conv}.w"], P[f"{conv}.b"], x,
-                                    self.scale)
+        k = ops.resize_conv_kernel(P[f"{conv}.w"], self.scale)
+        return ops.conv_transpose2d(ops.concat_channels([feat, x]), k,
+                                    P[f"{conv}.b"], self.scale, 1)
 
     def flops(self, s: Shape) -> tuple[int, Shape]:
         total, out_s = _layers_flops(self.body, s)

@@ -73,7 +73,8 @@ def build_vacv(scale: int) -> NetworkSpec:
     """SAFM/CCM net whose tail is a 3x3 conv of the nearest-upsampled
     features (declared as repeat scale^2 times, shuffle, conv), with a
     nearest-upsampled global input residual.  ``UpsampleAddSkip`` runs that
-    tail and the residual as one sub-pixel conv at LR."""
+    tail and the residual as one stride-scale transposed conv of the LR
+    features and input."""
     _check_scale(scale)
     c = 44
     body: list = [Conv(3, c, 3, padding=1)]

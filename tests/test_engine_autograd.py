@@ -97,7 +97,9 @@ class TestConvGrads:
             b = rnd(3, seed=seed + 2)
             skip = rnd(2, 3, 3, 4, seed=seed + 3)
             check_gradients(
-                lambda xt, wt, bt, st: ops.upsample_conv3x3(xt, wt, bt, st, s),
+                lambda xt, wt, bt, st: ops.conv_transpose2d(
+                    ops.concat_channels([xt, st]),
+                    ops.resize_conv_kernel(wt, s), bt, s, 1),
                 [x, w, b, skip])
 
     def test_conv_transpose_all_inputs(self):
@@ -110,6 +112,16 @@ class TestConvGrads:
                                         output_padding=1)
 
         check_gradients(fn, [x, w, b])
+
+
+    @pytest.mark.parametrize("k,s,p,op", [(3, 2, 3, 1), (5, 2, 6, 1)])
+    def test_conv_transpose_padding_beyond_kernel(self, k, s, p, op):
+        x = rnd(1, 2, 6, 7, seed=20)
+        w = rnd(2, 3, k, k, seed=21)
+        b = rnd(3, seed=22)
+        check_gradients(
+            lambda xt, wt, bt: ops.conv_transpose2d(xt, wt, bt, s, p, op),
+            [x, w, b])
 
 
 class TestShapeGrads:

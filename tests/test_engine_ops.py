@@ -247,6 +247,23 @@ class TestConv:
             tracemalloc.stop()
         padded = 3 * 274 * 484 * x.itemsize
         assert peak < out.nbytes + padded + 4 * ops._BLOCK * x.itemsize
+        # On a plane smaller than a block the buffers hold only the rows the
+        # input has: two of them stay under the input's whole im2col.
+        for xs, ws, groups in (((8, 9, 4, 4), (9, 1, 3, 3), 9),
+                               ((1, 44, 8, 8), (44, 44, 3, 3), 1)):
+            x = rnd(*xs, seed=22, dtype=np.float32)
+            w = rnd(*ws, seed=23, dtype=np.float32)
+            tracemalloc.start()
+            try:
+                out = ops._corr(x, w, 1, 1, groups)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            n, ci, h, wd = xs
+            cols = n * (h + 2) * (wd + 2)
+            buffers = 2 * max(ws[0], 9 * ci) * cols * x.itemsize
+            assert peak < (out.nbytes + ci * cols * x.itemsize
+                           + 2 * w.nbytes + buffers)
 
     def test_conv_transpose_matches_upsample_identity(self):
         x = rnd(1, 2, 5, 5, seed=17)
@@ -267,6 +284,21 @@ class TestConv:
                                 want[0, :, y, z] += patch[:, ki, kj]
         np.testing.assert_allclose(out, want, atol=1e-10)
 
+    @pytest.mark.parametrize("k,s,p,op", [(3, 2, 3, 1), (1, 1, 1, 0),
+                                          (5, 2, 6, 1), (9, 4, 9, 3)])
+    def test_conv_transpose_padding_beyond_kernel(self, k, s, p, op):
+        """With padding >= kernel the transposed conv is still conv2d's
+        adjoint: <conv2d(x), y> = <x, conv_transpose2d(y)>."""
+        y = rnd(2, 3, 5, 6, seed=24)
+        w = rnd(3, 2, k, k, seed=25)
+        xt = ops.conv_transpose2d(Tensor(y), Tensor(w), None, s, p, op).data
+        assert xt.shape == (2, 2, 4 * s - 2 * p + k + op,
+                            5 * s - 2 * p + k + op)
+        x = rnd(*xt.shape, seed=26)
+        cx = ops.conv2d(Tensor(x), ops.ConvParams(Tensor(w), None, s, p, 1))
+        lhs, rhs = np.vdot(cx.data, y), np.vdot(x, xt)
+        assert abs(lhs - rhs) <= 1e-12 * np.vdot(np.abs(x), np.abs(xt))
+
     def test_conv_param_validation(self):
         with pytest.raises(ValueError):
             ops.ConvParams(weight=Tensor(rnd(4, 3, 3, 3)), bias=None,
@@ -277,11 +309,12 @@ class TestConv:
 
 
 class TestUpsampleConv3x3:
-    """The LR sub-pixel op against the HR composition it replaces."""
+    """vacv's tail as one transposed conv against the HR composition it
+    replaces."""
 
     # max |error| / RMS of the reference: float64 only reorders sums; the
-    # float32 bound covers the folded weights' pre-summed taps (measured
-    # under 1e-6).
+    # float32 bound covers the kernel's pre-summed taps (measured under
+    # 2e-6).
     BOUND = {np.float64: 1e-12, np.float32: 1e-5}
 
     @staticmethod
@@ -291,6 +324,11 @@ class TestUpsampleConv3x3:
         y = ops.conv2d(up, ops.ConvParams(w, b, 1, 1, 1))
         return ops.add(y, ops.upsample_nearest(skip, (h * s, wd * s)))
 
+    @staticmethod
+    def transposed(x, w, b, skip, s):
+        return ops.conv_transpose2d(ops.concat_channels([x, skip]),
+                                    ops.resize_conv_kernel(w, s), b, s, 1)
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("s", [2, 4])
     def test_matches_composition(self, s, dtype):
@@ -299,7 +337,7 @@ class TestUpsampleConv3x3:
         arrays = [a.astype(dtype) for a in arrays]
         cot = rnd(2, 3, 7 * s, 9 * s, seed=44, dtype=dtype)
         results = []
-        for fn in (self.composed, ops.upsample_conv3x3):
+        for fn in (self.composed, self.transposed):
             ts = [Tensor(a) for a in arrays]
             with Tape() as tape:
                 y = fn(*ts, s)
@@ -312,16 +350,12 @@ class TestUpsampleConv3x3:
             assert np.abs(got - want).max() <= self.BOUND[dtype] * rms
 
     def test_shape_validation(self):
-        x, w, b = rnd(1, 4, 3, 3), rnd(3, 4, 3, 3), rnd(3)
+        w = Tensor(rnd(3, 4, 3, 3))
         with pytest.raises(ValueError, match="scale"):
-            ops.upsample_conv3x3(Tensor(x), Tensor(w), Tensor(b),
-                                 Tensor(rnd(1, 3, 3, 3)), 0)
-        with pytest.raises(ValueError, match="skip"):
-            ops.upsample_conv3x3(Tensor(x), Tensor(w), Tensor(b),
-                                 Tensor(rnd(1, 4, 3, 3)), 2)
-        with pytest.raises(ValueError, match="weight"):
-            ops.upsample_conv3x3(Tensor(x), Tensor(rnd(3, 4, 5, 5)),
-                                 Tensor(b), Tensor(rnd(1, 3, 3, 3)), 2)
+            ops.resize_conv_kernel(w, 0)
+        for bad in (rnd(3, 4, 5, 5), rnd(3, 4, 3, 2), rnd(4, 3, 3)):
+            with pytest.raises(ValueError, match="weight"):
+                ops.resize_conv_kernel(Tensor(bad), 2)
 
 
 class TestShuffleAndPool:

@@ -46,3 +46,7 @@ def test_install_all_wraps_and_restore_puts_back():
     np.testing.assert_array_equal(got, want)
     names = {s[spans.NAME] for s in tracer.spans}
     assert {"networks.forward", "blocks.UpsampleAddSkip"} <= names
+    # vacv's upsampling tail is a transposed conv the per-layer metrics count
+    assert any(s[spans.NAME] == "ops.conv_transpose"
+               and tracer.spans[s[spans.PARENT]][spans.NAME]
+               == "blocks.UpsampleAddSkip" for s in tracer.spans)
