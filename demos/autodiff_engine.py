@@ -23,7 +23,9 @@ def main():
     w = Tensor(np.zeros((1, 1, 1, 1)))
     b = Tensor(np.zeros(1))
     for step in range(200):
-        with Tape() as tape:
+        # ask for the parameters only: the data needs no gradient, so the
+        # conv skips its input gradient and backward returns {w, b}
+        with Tape(wrt=[w, b]) as tape:
             pred = ops.conv2d(Tensor(xs), ops.ConvParams(w, b))
             loss = ops.tmean(ops.square(ops.sub(pred, Tensor(ys))))
         grads = backward(tape, loss)

@@ -1,8 +1,8 @@
 """Differentiable operations over :class:`~odsr.engine.tensor.Tensor`.
 
-Every op computes eagerly with numpy and, when a tape is active, records a
-VJP closure.  Broadcasting follows numpy rules for the elementwise ops;
-convolution and friends are NCHW.
+Every op computes eagerly with numpy and, when the active tape needs the
+gradient of one of its inputs, records a VJP closure.  Broadcasting follows
+numpy rules for the elementwise ops; convolution and friends are NCHW.
 """
 from __future__ import annotations
 
@@ -52,8 +52,16 @@ def _pair(a, b) -> tuple[Tensor, Tensor]:
     return Tensor(np.asarray(a, dtype=b.data.dtype)), b
 
 
-def _record(inputs: tuple[Tensor, ...], out: Tensor, vjp) -> Tensor:
+def _tape_for(*inputs: Tensor):
+    """The active tape if it needs the gradient of any of ``inputs``."""
     tape = active_tape()
+    if tape is not None and any(tape.needs_grad(t) for t in inputs):
+        return tape
+    return None
+
+
+def _record(inputs: tuple[Tensor, ...], out: Tensor, vjp) -> Tensor:
+    tape = _tape_for(*inputs)
     if tape is not None:
         tape.record(inputs, out, vjp)
     return out
@@ -184,10 +192,22 @@ def relu(a: Tensor) -> Tensor:
 
 
 def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
-    out = Tensor(np.where(a.data > 0, a.data, slope * a.data))
+    """max(x, slope * x) for a slope in (0, 1).
+
+    Forward and VJP are bitwise equal to ``where(x > 0, x, slope * x)`` and
+    ``g * where(x > 0, 1, slope)`` (NaN, ±0 and ±inf included).  Each is one
+    pass into a fresh array plus in-place ufuncs, several times faster than
+    those ``np.where`` forms.
+    """
+    val = slope * a.data
+    np.maximum(val, a.data, out=val)
+    out = Tensor(val)
 
     def vjp(g):
-        return (g * np.where(a.data > 0, 1.0, slope).astype(g.dtype),)
+        gx = (a.data > 0).astype(g.dtype)
+        np.maximum(gx, slope, out=gx)  # 1 where x > 0, else the slope
+        gx *= g
+        return (gx,)
 
     return _record((a,), out, vjp)
 
@@ -238,7 +258,7 @@ def gelu(a: Tensor) -> Tensor:
     """
     x = a.data
     if x.dtype == np.float32:
-        val, phi = _gelu_f32(x, keep_phi=active_tape() is not None)
+        val, phi = _gelu_f32(x, keep_phi=_tape_for(a) is not None)
     else:
         phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
         val = x * phi
@@ -503,10 +523,11 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
         val += b.data[None, :, None, None]
     out = Tensor(val)
     inputs = (x, w) if b is None else (x, w, b)
+    need_x = _tape_for(x) is not None
 
     def vjp(g):
         gx = _corr_transpose(g, w.data, p.stride, p.padding, x.shape[2:],
-                             p.groups)
+                             p.groups) if need_x else None
         gw = _corr_wgrad(x.data, g, w.shape[2], w.shape[3], p.stride,
                          p.padding, p.groups)
         if b is None:
@@ -543,9 +564,10 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         val += bias.data[None, :, None, None]
     out = Tensor(val)
     inputs = (x, weight) if bias is None else (x, weight, bias)
+    need_x = _tape_for(x) is not None
 
     def vjp(g):
-        gx = _corr(g, weight.data, s, p, 1)
+        gx = _corr(g, weight.data, s, p, 1) if need_x else None
         gw = _corr_wgrad(g, x.data, kh, kw, s, p, 1)
         if bias is None:
             return gx, gw
@@ -655,7 +677,7 @@ def adaptive_max_pool(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
     gath = rowmax[:, :, :, idx_w]              # n c oh ow Lw
     out = Tensor(np.ascontiguousarray(gath.max(axis=4)))
 
-    if active_tape() is None:
+    if _tape_for(x) is None:
         return out
 
     arg_w = gath.argmax(axis=4)                              # n c oh ow

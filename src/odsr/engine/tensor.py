@@ -4,13 +4,15 @@ The engine is deliberately small: a :class:`Tensor` wraps a numpy array
 (float32 by default, float64 for high-precision checks), operations in
 :mod:`odsr.engine.ops` compute eagerly, and an active :class:`Tape` records
 each op so :func:`backward` can replay the trace once, in reverse, and
-accumulate vector-Jacobian products down to the leaves.  Image tensors are
-NCHW; reductions produce 0-d scalars.
+accumulate vector-Jacobian products down to the leaves.  A tape opened as
+``Tape(wrt=params)`` records only the ops that a requested leaf reaches, as
+in requires-grad propagation (Paszke et al., NIPS-W 2017).  Image tensors
+are NCHW; reductions produce 0-d scalars.
 """
 from __future__ import annotations
 
 import threading
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -83,14 +85,24 @@ _ACTIVE = threading.local()
 class Tape:
     """Records ops executed under ``with Tape() as tape:`` for one backward().
 
+    ``wrt`` names the leaves the caller wants gradients for.  The tape then
+    tracks which tensors need a gradient: the requested leaves, plus every
+    output of an op with at least one such input.  Ops whose inputs need
+    none are not recorded, and an op may skip the VJP of an input that
+    needs none (the convolutions skip their input gradient).
+    Without ``wrt`` every op is recorded and every input needs a gradient.
+    The tape holds each requested leaf, so the ids it tracks stay valid.
+
     A tape is single-owner: it must be used from the thread that opened it.
     Each thread records on at most one tape at a time, so entering a second
     tape on a thread raises RuntimeError rather than hiding the inner ops
     from the outer tape.  Tapes on different threads do not interact.
     """
 
-    def __init__(self):
+    def __init__(self, wrt: Iterable[Tensor] | None = None):
         self.nodes: list[Node] = []
+        self.wrt = None if wrt is None else tuple(wrt)
+        self._needs = None if wrt is None else {id(t) for t in self.wrt}
         self._entered = False
         self._used = False
 
@@ -106,8 +118,16 @@ class Tape:
     def __exit__(self, *exc) -> None:
         _ACTIVE.tape = None
 
+    def needs_grad(self, tensor: Tensor) -> bool:
+        """Whether a gradient of ``tensor`` is wanted on this tape."""
+        return self._needs is None or id(tensor) in self._needs
+
     def record(self, inputs: tuple[Tensor, ...], out: Tensor,
                vjp: Callable[[np.ndarray], tuple]) -> None:
+        """Append one op; its output needs a gradient from now on.  Callers
+        record only ops with an input that :meth:`needs_grad`."""
+        if self._needs is not None:
+            self._needs.add(id(out))
         self.nodes.append(Node(inputs, out, vjp))
 
 
@@ -120,10 +140,13 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
 
     Returns each leaf the loss reaches (an op input no node produced, such
     as a parameter) mapped to its gradient, an ndarray of the leaf's shape
-    and dtype; fan-out accumulates by summation.  The walk consumes the
+    and dtype; fan-out accumulates by summation.  On a ``Tape(wrt=...)``
+    only the requested leaves the loss reaches are returned, and no
+    gradient of a tensor that needs none is kept.  The walk consumes the
     tape, popping each node once its VJP has run and dropping each gradient
     once passed on, so forward arrays are freed as it goes.  Raises
-    ValueError for a used tape, a non-scalar loss or one made off the tape.
+    ValueError for a used tape, a non-scalar loss or one made off the tape
+    (on a ``Tape(wrt=...)``, also one no requested leaf reaches).
     """
     if tape._used:
         raise ValueError("tape was already used by backward; record anew")
@@ -137,7 +160,8 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     # id() keys stay safe while nodes are freed: every tensor with a pending
     # gradient is held either by an unpopped node (its producer) or by
     # ``leaves``, so no new object can take its id while the key is pending;
-    # ``produced`` was taken while every tensor on the tape was alive.
+    # ``produced`` and the tape's "needs gradient" ids were taken while every
+    # tensor on the tape was alive, and the walk makes no new tensors.
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     leaves: dict[int, Tensor] = {}
     nodes = tape.nodes
@@ -147,7 +171,7 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
         if g is None:
             continue
         for tensor, ig in zip(node.inputs, node.vjp(g)):
-            if ig is None:
+            if ig is None or not tape.needs_grad(tensor):
                 continue
             key = id(tensor)
             if key not in produced:

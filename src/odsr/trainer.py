@@ -267,7 +267,7 @@ def train(net: Network, frames: Sequence, cfg: TrainConfig,
         x = Tensor(lr_b)
         target = Tensor(hr_b)
         step_lr = lr_at(cfg, step)
-        with Tape() as tape:
+        with Tape(wrt=params.values()) as tape:
             pred = blocks.run_layers(net.spec.layers, x, params, "net")
             loss = loss_fn(pred, target, pairs)
         leaf_grads = backward(tape, loss)

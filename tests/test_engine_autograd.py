@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from conftest import check_gradients, rel_err
+from conftest import check_gradients, numeric_grad, rel_err
 
 from odsr.engine import ops
 from odsr.engine.tensor import Tape, Tensor, backward
@@ -122,6 +122,76 @@ class TestConvGrads:
         check_gradients(
             lambda xt, wt, bt: ops.conv_transpose2d(xt, wt, bt, s, p, op),
             [x, w, b])
+
+
+class TestGradientRequest:
+    """A tape told which leaves to differentiate computes only what they
+    need, and gives them the same gradients as a full backward."""
+
+    def test_conv_weight_and_bias_only(self):
+        x = rnd(2, 3, 5, 6, seed=40)
+        w = rnd(4, 3, 3, 3, seed=41)
+        b = rnd(4, seed=42)
+
+        def fn(xt, wt, bt):
+            return ops.conv2d(xt, ops.ConvParams(wt, bt, stride=2,
+                                                 padding=1))
+
+        xt, wt, bt = Tensor(x), Tensor(w), Tensor(b)
+        with Tape(wrt=[wt, bt]) as tape:
+            loss = ops.tsum(fn(xt, wt, bt))
+        grads = backward(tape, loss)
+        assert set(grads) == {wt, bt}
+        for i, t in ((1, wt), (2, bt)):
+            assert rel_err(grads[t], numeric_grad(fn, [x, w, b], i)) < 1e-6
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_unrequested_conv_input_runs_no_input_gradient(self, monkeypatch,
+                                                           transpose):
+        # conv2d's input gradient is _corr_transpose, conv_transpose2d's is
+        # _corr; neither runs in backward when only the weights are asked
+        kernel = "_corr" if transpose else "_corr_transpose"
+        x = Tensor(rnd(1, 2, 5, 5, seed=43))
+        b = Tensor(rnd(3, seed=45))
+        if transpose:
+            w = Tensor(rnd(2, 3, 3, 3, seed=44))
+            op = lambda: ops.conv_transpose2d(x, w, b, stride=2, padding=1)
+        else:
+            w = Tensor(rnd(3, 2, 3, 3, seed=44))
+            op = lambda: ops.conv2d(x, ops.ConvParams(w, b, 2, 1))
+        with Tape(wrt=[w, b]) as tape:
+            loss = ops.tsum(ops.square(op()))
+        calls = []
+        real = getattr(ops, kernel)
+        monkeypatch.setattr(ops, kernel,
+                            lambda *a: calls.append(a) or real(*a))
+        grads = backward(tape, loss)
+        assert calls == [] and set(grads) == {w, b}
+        # a full tape on the same op does call it
+        with Tape() as tape:
+            loss = ops.tsum(ops.square(op()))
+        del calls[:]
+        backward(tape, loss)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("scale", [2, 4])
+    @pytest.mark.parametrize("name", sorted(builders.BUILDERS))
+    def test_parameter_gradients_bitwise_equal_to_full(self, name, scale):
+        net = Network.init(builders.build(name, scale), seed=3)
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.random((2, 3, 8, 8), dtype=np.float32))
+        target = Tensor(rng.random((2, 3, 8 * scale, 8 * scale),
+                                   dtype=np.float32))
+        runs = []
+        for wrt in (None, net.params.values()):
+            with Tape(wrt=wrt) as tape:
+                loss = ops.tmean(ops.absolute(ops.sub(net(x), target)))
+            runs.append(backward(tape, loss))
+        full, part = runs
+        assert x in full and target in full
+        assert set(part) == set(net.params.values())
+        for pname, t in net.params.items():
+            assert part[t].tobytes() == full[t].tobytes(), pname
 
 
 class TestShapeGrads:

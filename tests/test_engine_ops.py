@@ -67,6 +67,25 @@ class TestElementwise:
         np.testing.assert_allclose(ops.gelu(Tensor(a)).data, want,
                                    rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaky_relu_bitwise_at_special_values(self, dtype):
+        # max(x, slope * x) and its VJP must match the np.where forms bit
+        # for bit, NaN payloads and signed zeros included
+        special = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf,
+                            1e-40, -1e-40, 1.5, -2.5], dtype=dtype)
+        a = np.concatenate([special, rnd(40, seed=8, dtype=dtype)])
+        g = np.concatenate([special[::-1], rnd(40, seed=9, dtype=dtype)])
+        x = Tensor(a)
+        with Tape() as tape:
+            y = ops.leaky_relu(x, 0.1)
+        (gx,) = tape.nodes[0].vjp(g)
+        want_y = np.where(a > 0, a, 0.1 * a)
+        want_g = g * np.where(a > 0, 1.0, 0.1).astype(dtype)
+        assert y.dtype == gx.dtype == dtype
+        assert y.data.tobytes() == want_y.tobytes()
+        assert gx.tobytes() == want_g.tobytes()
+        assert gx.tobytes() == np.where(a > 0, g, g * 0.1).tobytes()
+
     def test_gelu_float32_stays_float32(self):
         """No op inside GELU or its VJP computes in float64 (NEP 50)."""
         seen = []
@@ -528,6 +547,33 @@ class TestTape:
             assert not t.is_alive()
         np.testing.assert_allclose(grads[1.0], [2.0, 4.0])
         np.testing.assert_allclose(grads[3.0], [6.0, 12.0])
+
+    def test_request_records_only_ops_a_requested_leaf_reaches(self):
+        x, w = Tensor(rnd(2, 2, seed=33)), Tensor(rnd(2, 2, seed=34))
+        with Tape(wrt=[w]) as tape:
+            x2 = ops.square(x)
+            x3 = ops.exp(x2)
+            assert not tape.nodes
+            z = ops.tsum(ops.mul(x3, w))
+        assert len(tape.nodes) == 2
+        assert tape.needs_grad(w) and not tape.needs_grad(x3)
+        grads = backward(tape, z)
+        assert list(grads) == [w]
+        np.testing.assert_array_equal(grads[w], x3.data)
+
+    def test_request_holds_its_leaves(self):
+        # the tape tracks leaves by id, so it must keep them alive
+        with Tape(wrt=(Tensor(rnd(2, seed=37)),)) as tape:
+            pass
+        leaf_ref = weakref.ref(tape.wrt[0])
+        assert leaf_ref() is not None and tape.needs_grad(leaf_ref())
+
+    def test_loss_no_requested_leaf_reaches_raises(self):
+        x, w = Tensor(rnd(2, seed=38)), Tensor(rnd(2, seed=39))
+        with Tape(wrt=[w]) as tape:
+            z = ops.tsum(ops.square(x))
+        with pytest.raises(ValueError, match="not produced"):
+            backward(tape, z)
 
     def test_no_tape_means_no_recording(self):
         x = Tensor(rnd(2, 2, seed=29))

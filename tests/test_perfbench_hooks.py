@@ -24,11 +24,15 @@ def _load_spans():
     return module
 
 
-def test_install_all_wraps_and_restore_puts_back():
-    spans = _load_spans()
-    odsr = SimpleNamespace(ops=ops, tensor=tensor, blocks=blocks,
+def _modules():
+    return SimpleNamespace(ops=ops, tensor=tensor, blocks=blocks,
                            networks=networks, resample=resample, media=media,
                            metrics=metrics, harness=harness, trainer=trainer)
+
+
+def test_install_all_wraps_and_restore_puts_back():
+    spans = _load_spans()
+    odsr = _modules()
     net = networks.Network.init(builders.build("vacv", 2), seed=0)
     x = tensor.Tensor(np.random.default_rng(0).random((1, 3, 8, 8),
                                                        dtype=np.float32))
@@ -50,3 +54,28 @@ def test_install_all_wraps_and_restore_puts_back():
     assert any(s[spans.NAME] == "ops.conv_transpose"
                and tracer.spans[s[spans.PARENT]][spans.NAME]
                == "blocks.UpsampleAddSkip" for s in tracer.spans)
+
+
+def test_traced_training_step_matches_untraced():
+    # the traced train workload wraps Tape.record and trainer.backward; a
+    # step under the wrappers must train exactly as without them
+    spans = _load_spans()
+    frames = trainer.synthetic_frames(1, hw=(64, 64), seed=1)
+    cfg = trainer.TrainConfig(iterations=1, batch=2, patch=8, seed=0)
+
+    def step():
+        net = networks.Network.init(builders.build("fsrcnn", 2), seed=0)
+        return trainer.train(net, frames, cfg)
+
+    want = step()
+    tracer = spans.Tracer()
+    spans.install_all(tracer, _modules())
+    try:
+        got = step()
+    finally:
+        tracer.restore()
+    assert got.losses == want.losses
+    for k, t in want.network.params.items():
+        np.testing.assert_array_equal(got.network.params[k].data, t.data)
+    names = {s[spans.NAME] for s in tracer.spans}
+    assert {"tensor.backward", "tensor.vjp.conv"} <= names

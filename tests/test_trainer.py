@@ -284,6 +284,14 @@ class TestTrainLoop:
         for k, t in net.params.items():
             np.testing.assert_array_equal(t.data, before[k])
 
+    def test_parameter_without_gradient_raises(self):
+        # the tape asks for every parameter; one the loss never reaches
+        # gets no gradient, and training stops instead of skipping it
+        net = tiny_net()
+        net.params["net.unused"] = Tensor(np.zeros(3, dtype=np.float32))
+        with pytest.raises(RuntimeError, match="net.unused"):
+            trainer.train(net, self.FRAMES, self.small_cfg(iterations=1))
+
     def test_zero_lr_rejected_up_front(self):
         with pytest.raises(ValueError):
             self.small_cfg(lr=0.0)
