@@ -194,7 +194,7 @@ class MetricReport:
 
 
 def _frame_planes(frame: FrameBuffer, plane: str) -> list[np.ndarray]:
-    """uint8 planes; each metric makes its own float64 copy."""
+    """uint8 planes; each metric reads them into float64 as it goes."""
     if plane not in ("y", "rgb-mean"):
         raise ValueError(f"unknown metric plane {plane!r} (y or rgb-mean)")
     if plane == "y" or frame.layout == "y8":

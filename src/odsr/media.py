@@ -373,34 +373,64 @@ def rgb_to_y(rgb: np.ndarray) -> np.ndarray:
     return round_u8(16.0 + 219.0 * lum / 255.0)
 
 
+# float64 elements of one rgb_to_yuv420 row block's four planes (2 MiB)
+_BLOCK = 1 << 18
+
+
+def _yuv_rows(width: int) -> int:
+    """Rows of one rgb_to_yuv420 block: even, four planes in ``_BLOCK``."""
+    return max(2, _BLOCK // (4 * width) // 2 * 2)
+
+
 def rgb_to_yuv420(frame: FrameBuffer) -> FrameBuffer:
-    """Convert rgb8 to limited-range BT.709 4:2:0 (2x2 chroma averaging)."""
+    """Convert rgb8 to limited-range BT.709 4:2:0 (2x2 chroma averaging).
+
+    Walks blocks of an even number of rows, sized to stay in cache, and
+    writes Y, U and V straight into one preallocated payload. Each block
+    runs the same in-place steps the whole frame once did, so the bytes
+    equal the out-of-place reference in ``tests/eval_oracle.py``.
+    """
     rgb = frame.rgb()
-    if frame.width % 2 or frame.height % 2:
-        raise ValueError(
-            f"yuv420 needs even dims, got {frame.width}x{frame.height}")
-    # in place, in the order of lum = KR r + KG g + KB b, pb = (b - lum) /
-    # (2 (1 - KB)), pr alike, and y, u, v = offset + span * (...) / 255
-    r, g, b = (rgb[..., i].astype(np.float64) for i in range(3))
-    lum = np.multiply(r, _KR)
-    lum += np.multiply(g, _KG, out=g)
-    lum += np.multiply(b, _KB, out=g)
-    b -= lum
-    b /= 2.0 * (1.0 - _KB)
-    r -= lum
-    r /= 2.0 * (1.0 - _KR)
-    for p, offset, span in ((lum, 16.0, 219.0), (b, 128.0, 224.0),
-                            (r, 128.0, 224.0)):
-        p *= span
-        p /= 255.0
-        p += offset
-
-    def sub(p):
-        return (p[0::2, 0::2] + p[0::2, 1::2]
-                + p[1::2, 0::2] + p[1::2, 1::2]) / 4.0
-
-    return FrameBuffer.from_yuv(round_u8(lum), round_u8(sub(b)),
-                                round_u8(sub(r)))
+    w, h = frame.width, frame.height
+    if w % 2 or h % 2:
+        raise ValueError(f"yuv420 needs even dims, got {w}x{h}")
+    n, c = w * h, w * h // 4
+    payload = np.empty(n + 2 * c, np.uint8)
+    y = payload[:n].reshape(h, w)
+    u = payload[n:n + c].reshape(h // 2, w // 2)
+    v = payload[n + c:].reshape(h // 2, w // 2)
+    rows = min(h, _yuv_rows(w))
+    planes = np.empty((4, rows, w))
+    quarter = np.empty((rows // 2, w // 2))
+    for i in range(0, h, rows):
+        k = min(rows, h - i)
+        r, g, b, lum = planes[:, :k]
+        for ch, p in enumerate((r, g, b)):
+            np.copyto(p, rgb[i:i + k, :, ch])
+        # in place, in the order of lum = KR r + KG g + KB b, pb = (b - lum)
+        # / (2 (1 - KB)), pr alike, and y, u, v = offset + span * (...) / 255
+        np.multiply(r, _KR, out=lum)
+        lum += np.multiply(g, _KG, out=g)
+        lum += np.multiply(b, _KB, out=g)
+        b -= lum
+        b /= 2.0 * (1.0 - _KB)
+        r -= lum
+        r /= 2.0 * (1.0 - _KR)
+        for p, offset, span in ((lum, 16.0, 219.0), (b, 128.0, 224.0),
+                                (r, 128.0, 224.0)):
+            p *= span
+            p /= 255.0
+            p += offset
+        y[i:i + k] = round_u8(lum)
+        # 2x2 means, summed in the order p00 + p01 + p10 + p11
+        q = quarter[:k // 2]
+        for p, dst in ((b, u), (r, v)):
+            np.add(p[0::2, 0::2], p[0::2, 1::2], out=q)
+            q += p[1::2, 0::2]
+            q += p[1::2, 1::2]
+            q /= 4.0
+            dst[i // 2:(i + k) // 2] = round_u8(q)
+    return FrameBuffer("yuv420", w, h, payload.tobytes())
 
 
 def yuv420_to_rgb(frame: FrameBuffer) -> FrameBuffer:

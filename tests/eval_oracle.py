@@ -1,7 +1,8 @@
-"""Out-of-place reference expressions for the SSIM map and the BT.709
-colour conversions: the references for ``metrics.ssim_map``,
-``media.rgb_to_yuv420`` and ``media.yuv420_to_rgb``, which run the same
-steps in place and must agree bit for bit.
+"""Out-of-place reference expressions for the MSEs, the SSIM map and the
+BT.709 colour conversions: the references for ``metrics.ws_mse``,
+``metrics.mse``, ``metrics.ssim_map``, ``media.rgb_to_yuv420`` and
+``media.yuv420_to_rgb``, which run the same steps in place and must agree
+bit for bit.
 """
 import numpy as np
 from scipy.ndimage import correlate1d
@@ -10,6 +11,20 @@ from odsr import media, metrics
 
 _KR, _KG, _KB = 0.2126, 0.7152, 0.0722
 _R = metrics._RADIUS
+
+
+def ws_mse(ref, test) -> float:
+    r = np.asarray(ref).astype(np.float64)
+    t = np.asarray(test).astype(np.float64)
+    w = metrics.WeightMap.for_frame(*r.shape).as_array()
+    diff = r - t
+    return float((w * diff * diff).sum() / w.sum())
+
+
+def mse(ref, test) -> float:
+    r = np.asarray(ref).astype(np.float64)
+    t = np.asarray(test).astype(np.float64)
+    return float(np.mean((r - t) ** 2))
 
 
 def ssim_map(ref, test, peak: float = 255.0) -> np.ndarray:

@@ -1,7 +1,8 @@
 """The eval path against its out-of-place references: polyphase integer
-upscales against the dense matrix product, and the in-place SSIM map and
-colour conversions against their original expressions, bit for bit."""
+upscales against the dense matrix product, and the in-place MSEs, SSIM map
+and colour conversions against their original expressions, bit for bit."""
 import statistics
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -91,6 +92,48 @@ class TestColourInPlace:
         assert media.yuv420_to_rgb(yuv).payload == \
             eval_oracle.yuv420_to_rgb(yuv).payload
 
+    def test_partial_last_block_bitwise(self):
+        # two whole row blocks, then one of three row pairs
+        rows = media._yuv_rows(1920)
+        h = 2 * rows + 6
+        assert rows % 2 == 0 and h % rows == 6
+        rgb = np.random.default_rng(12).integers(
+            0, 256, (h, 1920, 3), dtype=np.uint8)
+        got = media.rgb_to_yuv420(media.FrameBuffer.from_rgb(rgb))
+        assert got.payload == eval_oracle.rgb_to_yuv420(rgb).payload
+
+
+_DTYPES = st.sampled_from([np.uint8, np.float32, np.float64])
+
+
+def _plane_pair(h, w, dtype, seed):
+    rng = np.random.default_rng(seed)
+    if dtype == np.uint8:
+        return tuple(rng.integers(0, 256, (h, w), dtype=np.uint8)
+                     for _ in range(2))
+    return tuple((rng.random((h, w)) * 255.0).astype(dtype)
+                 for _ in range(2))
+
+
+class TestMseInPlace:
+    @CASES
+    @given(h=st.integers(1, 48), w=st.integers(1, 48), dtype=_DTYPES,
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bitwise_and_inputs_left_unmodified(self, h, w, dtype, seed):
+        ref, test = _plane_pair(h, w, dtype, seed)
+        ref0, test0 = ref.copy(), test.copy()
+        assert metrics.ws_mse(ref, test) == eval_oracle.ws_mse(ref0, test0)
+        assert metrics.mse(ref, test) == eval_oracle.mse(ref0, test0)
+        np.testing.assert_array_equal(ref, ref0)
+        np.testing.assert_array_equal(test, test0)
+
+    def test_full_2k_pairs_bitwise(self):
+        # 1080 rows span many weighting blocks
+        for dtype in (np.uint8, np.float32, np.float64):
+            ref, test = _plane_pair(1080, 1920, dtype, 13)
+            assert metrics.ws_mse(ref, test) == eval_oracle.ws_mse(ref, test)
+            assert metrics.mse(ref, test) == eval_oracle.mse(ref, test)
+
 
 class TestSsimInPlace:
     @CASES
@@ -103,6 +146,42 @@ class TestSsimInPlace:
         np.testing.assert_array_equal(
             _bits(metrics.ssim_map(ref, test)),
             _bits(eval_oracle.ssim_map(ref, test)))
+
+    def test_full_2k_pair_bitwise(self):
+        rng = np.random.default_rng(14)
+        ref = rng.integers(0, 256, (1080, 1920), dtype=np.uint8)
+        noise = rng.integers(-20, 21, ref.shape)
+        test = np.clip(ref + noise, 0, 255).astype(np.uint8)
+        np.testing.assert_array_equal(
+            _bits(metrics.ssim_map(ref, test)),
+            _bits(eval_oracle.ssim_map(ref, test)))
+
+    def test_partial_last_block_bitwise(self):
+        # two whole row blocks, then a partial one of three rows
+        rows = metrics._ssim_rows(1920)
+        h = 10 + 2 * rows + 3
+        assert 3 < rows
+        rng = np.random.default_rng(15)
+        ref = rng.integers(0, 256, (h, 1920), dtype=np.uint8)
+        test = rng.integers(0, 256, (h, 1920), dtype=np.uint8)
+        np.testing.assert_array_equal(
+            _bits(metrics.ssim_map(ref, test)),
+            _bits(eval_oracle.ssim_map(ref, test)))
+
+    def test_memory_stays_block_sized(self):
+        """The map is built one row block at a time: on a 2K pair the
+        traced peak stays under two float64 planes, where whole-plane
+        smoothing kept about seven alive."""
+        rng = np.random.default_rng(16)
+        ref = rng.integers(0, 256, (1080, 1920), dtype=np.uint8)
+        test = rng.integers(0, 256, (1080, 1920), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            metrics.ssim_map(ref, test)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1080 * 1920 * 8
 
     def test_inputs_left_unmodified(self):
         rng = np.random.default_rng(2)
