@@ -11,7 +11,7 @@ from odsr.engine.tensor import Tape, Tensor, backward
 def main():
     # d/dx sum(x^2 + x) = 2x + 1
     x = Tensor(np.array([2.0, 3.0]))
-    with Tape() as tape:
+    with Tape(wrt=[x]) as tape:
         loss = ops.tsum(ops.add(ops.square(x), x))
     print("grad of sum(x^2 + x) at [2, 3]:",
           backward(tape, loss)[x], "(expect [5, 7])")

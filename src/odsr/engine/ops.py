@@ -25,6 +25,9 @@ _BLOCK = 1 << 17
 # in cache across the 27 passes of the rational erf.
 _GELU_BLOCK = 1 << 15
 
+# Leaky ReLU's negative slope; max(x, slope * x) needs 0 < slope < 1.
+_LEAKY_SLOPE = 0.1
+
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # Float32 erf(t) = t * P(t^2) / Q(t^2) on t in [-4, 4] (erf is +-1 in float32
@@ -191,21 +194,21 @@ def relu(a: Tensor) -> Tensor:
     return _record((a,), out, lambda g: (g * (a.data > 0),))
 
 
-def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
-    """max(x, slope * x) for a slope in (0, 1).
+def leaky_relu(a: Tensor) -> Tensor:
+    """max(x, slope * x) with the fixed slope 0.1.
 
     Forward and VJP are bitwise equal to ``where(x > 0, x, slope * x)`` and
     ``g * where(x > 0, 1, slope)`` (NaN, ±0 and ±inf included).  Each is one
     pass into a fresh array plus in-place ufuncs, several times faster than
     those ``np.where`` forms.
     """
-    val = slope * a.data
+    val = _LEAKY_SLOPE * a.data
     np.maximum(val, a.data, out=val)
     out = Tensor(val)
 
     def vjp(g):
         gx = (a.data > 0).astype(g.dtype)
-        np.maximum(gx, slope, out=gx)  # 1 where x > 0, else the slope
+        np.maximum(gx, _LEAKY_SLOPE, out=gx)  # 1 where x > 0, else the slope
         gx *= g
         return (gx,)
 
@@ -661,7 +664,7 @@ def _pool_gather_indices(size: int, out_size: int):
     ends = -((-(i + 1) * size) // out_size)  # ceil
     length = int((ends - starts).max())
     idx = starts[:, None] + np.arange(length)[None, :]
-    return np.minimum(idx, (ends - 1)[:, None]), starts, ends
+    return np.minimum(idx, (ends - 1)[:, None])
 
 
 def adaptive_max_pool(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
@@ -670,8 +673,8 @@ def adaptive_max_pool(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
     oh, ow = out_hw
     if not (1 <= oh <= h and 1 <= ow <= w):
         raise ValueError(f"output {oh}x{ow} invalid for input {h}x{w}")
-    idx_h, _, _ = _pool_gather_indices(h, oh)
-    idx_w, _, _ = _pool_gather_indices(w, ow)
+    idx_h = _pool_gather_indices(h, oh)
+    idx_w = _pool_gather_indices(w, ow)
     rows = x.data[:, :, idx_h, :]              # n c oh Lh w
     rowmax = rows.max(axis=3)                  # n c oh w
     gath = rowmax[:, :, :, idx_w]              # n c oh ow Lw

@@ -4,10 +4,10 @@ The engine is deliberately small: a :class:`Tensor` wraps a numpy array
 (float32 by default, float64 for high-precision checks), operations in
 :mod:`odsr.engine.ops` compute eagerly, and an active :class:`Tape` records
 each op so :func:`backward` can replay the trace once, in reverse, and
-accumulate vector-Jacobian products down to the leaves.  A tape opened as
-``Tape(wrt=params)`` records only the ops that a requested leaf reaches, as
-in requires-grad propagation (Paszke et al., NIPS-W 2017).  Image tensors
-are NCHW; reductions produce 0-d scalars.
+accumulate vector-Jacobian products down to the leaves.  A tape names the
+leaves it differentiates, ``Tape(wrt=params)``, and records only the ops
+that a requested leaf reaches, as in requires-grad propagation (Paszke et
+al., NIPS-W 2017).  Image tensors are NCHW; reductions produce 0-d scalars.
 """
 from __future__ import annotations
 
@@ -83,15 +83,14 @@ _ACTIVE = threading.local()
 
 
 class Tape:
-    """Records ops executed under ``with Tape() as tape:`` for one backward().
+    """Records ops run under ``with Tape(wrt=leaves)`` for one backward().
 
-    ``wrt`` names the leaves the caller wants gradients for.  The tape then
+    ``wrt`` names the leaves the caller wants gradients for.  The tape
     tracks which tensors need a gradient: the requested leaves, plus every
     output of an op with at least one such input.  Ops whose inputs need
     none are not recorded, and an op may skip the VJP of an input that
-    needs none (the convolutions skip their input gradient).
-    Without ``wrt`` every op is recorded and every input needs a gradient.
-    The tape holds each requested leaf, so the ids it tracks stay valid.
+    needs none (the convolutions skip their input gradient).  The tape
+    holds each requested leaf, so the ids it tracks stay valid.
 
     A tape is single-owner: it must be used from the thread that opened it.
     Each thread records on at most one tape at a time, so entering a second
@@ -99,10 +98,10 @@ class Tape:
     from the outer tape.  Tapes on different threads do not interact.
     """
 
-    def __init__(self, wrt: Iterable[Tensor] | None = None):
+    def __init__(self, wrt: Iterable[Tensor]):
         self.nodes: list[Node] = []
-        self.wrt = None if wrt is None else tuple(wrt)
-        self._needs = None if wrt is None else {id(t) for t in self.wrt}
+        self.wrt = tuple(wrt)
+        self._needs = {id(t) for t in self.wrt}
         self._entered = False
         self._used = False
 
@@ -120,14 +119,13 @@ class Tape:
 
     def needs_grad(self, tensor: Tensor) -> bool:
         """Whether a gradient of ``tensor`` is wanted on this tape."""
-        return self._needs is None or id(tensor) in self._needs
+        return id(tensor) in self._needs
 
     def record(self, inputs: tuple[Tensor, ...], out: Tensor,
                vjp: Callable[[np.ndarray], tuple]) -> None:
         """Append one op; its output needs a gradient from now on.  Callers
         record only ops with an input that :meth:`needs_grad`."""
-        if self._needs is not None:
-            self._needs.add(id(out))
+        self._needs.add(id(out))
         self.nodes.append(Node(inputs, out, vjp))
 
 
@@ -138,32 +136,28 @@ def active_tape() -> Tape | None:
 def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Reverse-accumulate gradients of a scalar ``loss`` through ``tape``.
 
-    Returns each leaf the loss reaches (an op input no node produced, such
-    as a parameter) mapped to its gradient, an ndarray of the leaf's shape
-    and dtype; fan-out accumulates by summation.  On a ``Tape(wrt=...)``
-    only the requested leaves the loss reaches are returned, and no
-    gradient of a tensor that needs none is kept.  The walk consumes the
-    tape, popping each node once its VJP has run and dropping each gradient
-    once passed on, so forward arrays are freed as it goes.  Raises
-    ValueError for a used tape, a non-scalar loss or one made off the tape
-    (on a ``Tape(wrt=...)``, also one no requested leaf reaches).
+    Returns each requested leaf (``tape.wrt``) the loss reaches mapped to
+    its gradient, an ndarray of the leaf's shape and dtype; fan-out
+    accumulates by summation, and no gradient of a tensor that needs none
+    is kept.  The walk consumes the tape, popping each node once its VJP
+    has run and dropping each gradient once passed on, so forward arrays
+    are freed as it goes.  Raises ValueError for a used tape, a non-scalar
+    loss or one that needs no gradient on the tape (made off it, or
+    reached by no requested leaf).
     """
     if tape._used:
         raise ValueError("tape was already used by backward; record anew")
     if loss.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.shape}")
-    produced = {id(n.out) for n in tape.nodes}
-    if id(loss) not in produced:
+    if not tape.needs_grad(loss):
         raise ValueError("loss tensor was not produced on this tape")
     tape._used = True
 
     # id() keys stay safe while nodes are freed: every tensor with a pending
-    # gradient is held either by an unpopped node (its producer) or by
-    # ``leaves``, so no new object can take its id while the key is pending;
-    # ``produced`` and the tape's "needs gradient" ids were taken while every
-    # tensor on the tape was alive, and the walk makes no new tensors.
+    # gradient is held by an unpopped node (its producer) or by ``tape.wrt``,
+    # and the tape's "needs gradient" ids were taken while every tensor on
+    # the tape was alive; the walk makes no new tensors.
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    leaves: dict[int, Tensor] = {}
     nodes = tape.nodes
     while nodes:
         node = nodes.pop()
@@ -174,9 +168,7 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
             if ig is None or not tape.needs_grad(tensor):
                 continue
             key = id(tensor)
-            if key not in produced:
-                leaves[key] = tensor
             prev = grads.get(key)
             grads[key] = ig if prev is None else prev + ig
-    return {t: grads[key].astype(t.data.dtype, copy=False)
-            for key, t in leaves.items()}
+    return {t: grads[id(t)].astype(t.data.dtype, copy=False)
+            for t in tape.wrt if id(t) in grads}

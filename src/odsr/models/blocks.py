@@ -6,7 +6,7 @@ output channel count (:meth:`specs`), their forward computation against a
 flat parameter dict, and their FLOP cost.  Each descriptor checks its input
 channels as the specs are walked, so a mis-wired builder fails at
 construction time rather than mid-forward.  Every activation outside the
-GELU gates is a leaky ReLU with the op's default slope of 0.1.
+GELU gates is a leaky ReLU with the op's fixed slope of 0.1.
 """
 from __future__ import annotations
 

@@ -43,8 +43,7 @@ _KERNELS = {
 
 
 @lru_cache(maxsize=16)
-def resize_matrix(src: int, dst: int, kernel: str = "cubic",
-                  antialias: bool = True) -> np.ndarray:
+def resize_matrix(src: int, dst: int, kernel: str = "cubic") -> np.ndarray:
     """(dst, src) row-stochastic sampling matrix along one axis.
 
     Memoized (a training run degrades every patch with the same two), so
@@ -59,7 +58,7 @@ def resize_matrix(src: int, dst: int, kernel: str = "cubic",
             f"unknown kernel {kernel!r}; choices: {sorted(_KERNELS)}"
         ) from None
     scale = dst / src
-    stretch = max(1.0, 1.0 / scale) if antialias else 1.0
+    stretch = max(1.0, 1.0 / scale)
     reach = support * stretch
     center = (np.arange(dst) + 0.5) / scale - 0.5
     lo = np.floor(center - reach).astype(np.int64) + 1
@@ -105,7 +104,7 @@ def _upscale_axis(x: np.ndarray, axis: int, s: int,
 
 
 def resize_plane(plane: np.ndarray, out_hw: tuple[int, int],
-                 kernel: str = "cubic", antialias: bool = True) -> np.ndarray:
+                 kernel: str = "cubic") -> np.ndarray:
     """Separable resize of a (..., h, w) plane stack (float64 output)."""
     if plane.ndim < 2:
         raise ValueError(
@@ -118,7 +117,7 @@ def resize_plane(plane: np.ndarray, out_hw: tuple[int, int],
         if 0 < src <= dst and dst % src == 0:
             out = _upscale_axis(out, axis, dst // src, kernel)
         else:
-            mat = resize_matrix(src, dst, kernel, antialias)
+            mat = resize_matrix(src, dst, kernel)
             out = mat @ out if axis == -2 else out @ mat.T
     return out
 

@@ -23,7 +23,7 @@ def pytest_terminal_summary(terminalreporter):
 def autograd_inputs(fn, arrays):
     """Gradients of scalar fn(*tensors) wrt each input array (float64)."""
     tensors = [Tensor(np.asarray(a, dtype=np.float64)) for a in arrays]
-    with Tape() as tape:
+    with Tape(wrt=tensors) as tape:
         out = fn(*tensors)
         loss = ops.tsum(out) if out.size > 1 else out
     grads = backward(tape, loss)

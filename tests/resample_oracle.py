@@ -8,11 +8,10 @@ import numpy as np
 from odsr.models.resample import _KERNELS
 
 
-def resize_matrix(src: int, dst: int, kernel: str = "cubic",
-                  antialias: bool = True) -> np.ndarray:
+def resize_matrix(src: int, dst: int, kernel: str = "cubic") -> np.ndarray:
     kfun, support = _KERNELS[kernel]
     scale = dst / src
-    stretch = max(1.0, 1.0 / scale) if antialias else 1.0
+    stretch = max(1.0, 1.0 / scale)
     reach = support * stretch
     mat = np.zeros((dst, src), dtype=np.float64)
     for i in range(dst):
@@ -30,8 +29,8 @@ def resize_matrix(src: int, dst: int, kernel: str = "cubic",
 
 
 def resize_plane(plane: np.ndarray, out_hw: tuple[int, int],
-                 kernel: str = "cubic", antialias: bool = True) -> np.ndarray:
+                 kernel: str = "cubic") -> np.ndarray:
     """Dense separable resize: the reference for the polyphase upscale."""
-    mh = resize_matrix(plane.shape[-2], out_hw[0], kernel, antialias)
-    mw = resize_matrix(plane.shape[-1], out_hw[1], kernel, antialias)
+    mh = resize_matrix(plane.shape[-2], out_hw[0], kernel)
+    mw = resize_matrix(plane.shape[-1], out_hw[1], kernel)
     return mh @ np.asarray(plane, dtype=np.float64) @ mw.T

@@ -33,8 +33,9 @@ def check(got, want, dtype):
 
 def run_with_vjp(fn, x, w, seed):
     """Forward value and the recorded VJP's (input, weight) gradients."""
-    with Tape() as tape:
-        out = fn(Tensor(x), Tensor(w)).data
+    leaves = [Tensor(x), Tensor(w)]
+    with Tape(wrt=leaves) as tape:
+        out = fn(*leaves).data
     gout = np.random.default_rng(seed).standard_normal(out.shape).astype(
         x.dtype)
     gx, gw = tape.nodes[-1].vjp(gout)

@@ -61,7 +61,7 @@ class TestElementwise:
         a = rnd(3, 7, seed=7)
         np.testing.assert_allclose(ops.relu(Tensor(a)).data,
                                    np.maximum(a, 0.0))
-        np.testing.assert_allclose(ops.leaky_relu(Tensor(a), 0.1).data,
+        np.testing.assert_allclose(ops.leaky_relu(Tensor(a)).data,
                                    np.where(a > 0, a, 0.1 * a))
         want = 0.5 * a * (1.0 + erf(a / np.sqrt(2.0)))
         np.testing.assert_allclose(ops.gelu(Tensor(a)).data, want,
@@ -76,8 +76,8 @@ class TestElementwise:
         a = np.concatenate([special, rnd(40, seed=8, dtype=dtype)])
         g = np.concatenate([special[::-1], rnd(40, seed=9, dtype=dtype)])
         x = Tensor(a)
-        with Tape() as tape:
-            y = ops.leaky_relu(x, 0.1)
+        with Tape(wrt=[x]) as tape:
+            y = ops.leaky_relu(x)
         (gx,) = tape.nodes[0].vjp(g)
         want_y = np.where(a > 0, a, 0.1 * a)
         want_g = g * np.where(a > 0, 1.0, 0.1).astype(dtype)
@@ -109,7 +109,7 @@ class TestElementwise:
 
         x = Tensor(np.zeros(1, np.float32))
         x.data = rnd(3, 7, seed=7, dtype=np.float32).view(Spy)
-        with Tape() as tape:
+        with Tape(wrt=[x]) as tape:
             y = ops.gelu(x)
         tape.nodes[-1].vjp(np.ones((3, 7), np.float32))
         names = [name for name, _, _ in seen]
@@ -137,8 +137,9 @@ class TestGeluFloat32Parity:
             phi = 0.5 * (1.0 + erf(x64 / np.sqrt(2.0)))
             want = x64 * phi
             dwant = phi + x64 * np.exp(-0.5 * x64 * x64) / np.sqrt(2 * np.pi)
-            with Tape() as tape:
-                y = ops.gelu(Tensor(x))
+            xt = Tensor(x)
+            with Tape(wrt=[xt]) as tape:
+                y = ops.gelu(xt)
             (gx,) = tape.nodes[-1].vjp(np.ones_like(x))
         finite = np.isfinite(want)
         bound = GELU_F32_TOL * (1.0 + np.abs(x64[finite]))
@@ -235,14 +236,16 @@ class TestConv:
         assert ops._stacking(2, 8, 25, 1)[0]
 
         def run():
-            with Tape() as tape:
-                y = ops.conv2d(Tensor(x), ops.ConvParams(
-                    weight=Tensor(w), stride=2, padding=1, groups=groups))
-                z = ops.conv_transpose2d(y, Tensor(rnd(8, 3, 5, 5)), None,
-                                         2, 2, 1)
-                t = ops.conv_transpose2d(Tensor(x), Tensor(wt), None, 2, 1)
-                u = ops.conv2d(Tensor(xs), ops.ConvParams(
-                    weight=Tensor(ws), stride=1, padding=2, groups=1))
+            leaves = [Tensor(a)
+                      for a in (x, w, rnd(8, 3, 5, 5), x, wt, xs, ws)]
+            tx, tw, tz, tx2, twt, txs, tws = leaves
+            with Tape(wrt=leaves) as tape:
+                y = ops.conv2d(tx, ops.ConvParams(
+                    weight=tw, stride=2, padding=1, groups=groups))
+                z = ops.conv_transpose2d(y, tz, None, 2, 2, 1)
+                t = ops.conv_transpose2d(tx2, twt, None, 2, 1)
+                u = ops.conv2d(txs, ops.ConvParams(
+                    weight=tws, stride=1, padding=2, groups=1))
                 loss = ops.tsum(z) + ops.tsum(t) + ops.tsum(u)
             grads = backward(tape, loss)
             return [z.data, t.data, u.data, *grads.values()]
@@ -358,7 +361,7 @@ class TestUpsampleConv3x3:
         results = []
         for fn in (self.composed, self.transposed):
             ts = [Tensor(a) for a in arrays]
-            with Tape() as tape:
+            with Tape(wrt=ts) as tape:
                 y = fn(*ts, s)
                 loss = ops.tsum(ops.mul(y, Tensor(cot)))
             grads = backward(tape, loss)
@@ -448,7 +451,7 @@ class TestSpectral:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_dtype_in_equals_dtype_out(self, dtype):
         x = Tensor(rnd(2, 3, 6, 10, seed=27, dtype=dtype))
-        with Tape() as tape:
+        with Tape(wrt=[x]) as tape:
             z = ops.fft2_rc(x)
             back = ops.ifft2_rc(z)
         assert z.dtype == back.dtype == dtype
@@ -460,16 +463,22 @@ class TestSpectral:
 
 
 class TestTape:
+    def test_tape_requires_leaves(self):
+        with pytest.raises(TypeError):
+            Tape()
+        with pytest.raises(TypeError):
+            Tape(wrt=None)
+
     def test_backward_requires_scalar(self):
         x = Tensor(rnd(2, 2, seed=27))
-        with Tape() as tape:
+        with Tape(wrt=[x]) as tape:
             y = ops.square(x)
         with pytest.raises(ValueError):
             backward(tape, y)
 
     def test_backward_requires_on_tape_loss(self):
         x = Tensor(rnd(2, 2, seed=28))
-        with Tape() as tape:
+        with Tape(wrt=[x]) as tape:
             ops.square(x)
         off = ops.tsum(ops.square(x))  # built outside the tape
         with pytest.raises(ValueError):
@@ -477,14 +486,14 @@ class TestTape:
 
     def test_grad_accumulates_over_reuse(self):
         x = Tensor(np.array([[2.0, 3.0]]))
-        with Tape() as tape:
+        with Tape(wrt=[x]) as tape:
             y = ops.tsum(ops.add(ops.square(x), x))
         g = backward(tape, y)[x]
         np.testing.assert_allclose(g, np.array([[5.0, 7.0]]))
 
     def test_grads_cover_leaves_only(self):
         x = Tensor(np.array([[2.0, 3.0]]))
-        with Tape() as tape:
+        with Tape(wrt=[x]) as tape:
             y = ops.square(x)
             z = ops.tsum(y)
         grads = backward(tape, z)
@@ -494,7 +503,7 @@ class TestTape:
 
     def test_backward_consumes_the_tape(self):
         x = Tensor(rnd(3, 4, seed=31))
-        with Tape() as tape:
+        with Tape(wrt=[x]) as tape:
             y = ops.square(x)
             z = ops.tsum(y)
         y_ref = weakref.ref(y)
@@ -505,23 +514,23 @@ class TestTape:
 
     def test_second_backward_raises(self):
         x = Tensor(rnd(2, 2, seed=32))
-        with Tape() as tape:
+        with Tape(wrt=[x]) as tape:
             z = ops.tsum(ops.square(x))
         backward(tape, z)
         with pytest.raises(ValueError, match="already used"):
             backward(tape, z)
 
     def test_nested_tape_raises(self):
-        with Tape():
+        with Tape(wrt=[]):
             with pytest.raises(RuntimeError):
-                with Tape():
+                with Tape(wrt=[]):
                     pass
 
     def test_new_tape_after_exit(self):
         x = Tensor(np.array([2.0, 3.0]))
-        with Tape():
+        with Tape(wrt=[x]):
             ops.square(x)
-        with Tape() as tape:
+        with Tape(wrt=[x]) as tape:
             y = ops.tsum(ops.square(x))
         np.testing.assert_allclose(backward(tape, y)[x], [4.0, 6.0])
 
@@ -532,7 +541,7 @@ class TestTape:
 
         def work(scale):
             x = Tensor(np.array([1.0, 2.0]))
-            with Tape() as tape:
+            with Tape(wrt=[x]) as tape:
                 opened.wait()
                 y = ops.tsum(ops.mul(ops.square(x), Tensor(scale)))
                 opened.wait()
@@ -578,8 +587,9 @@ class TestTape:
     def test_no_tape_means_no_recording(self):
         x = Tensor(rnd(2, 2, seed=29))
         y = ops.square(x)  # outside any tape
-        with Tape() as tape:
+        with Tape(wrt=[x]) as tape:
             z = ops.tsum(ops.square(x))
+        assert len(tape.nodes) == 2  # the square and sum inside the tape
         grads = backward(tape, z)
         assert x in grads and y not in grads
 

@@ -47,7 +47,7 @@ class TestCharbonnier:
         a = np.zeros((1, 1, 3, 3))
         b = np.full((1, 1, 3, 3), 1e-5)
         xt = Tensor(a, dtype=np.float64)
-        with Tape() as tape:
+        with Tape(wrt=[xt]) as tape:
             loss = losses.charbonnier_loss(xt, Tensor(b, dtype=np.float64))
         grads = backward(tape, loss)
         assert np.abs(grads[xt]).max() < 1.0 / a.size
@@ -153,7 +153,7 @@ class TestLossesAreTapeAware:
         rng = np.random.default_rng(10)
         xt = Tensor(rng.random((1, 1, 4, 4)) + 0.25)
         yt = Tensor(rng.random((1, 1, 4, 4)) - 0.25)
-        with Tape() as tape:
+        with Tape(wrt=[xt, yt]) as tape:
             loss = fn(xt, yt)
         grads = backward(tape, loss)
         gx, gy = grads[xt], grads[yt]

@@ -211,7 +211,7 @@ class TestFloat32Audit:
         target = Tensor(rng.random((2, 3, 2 * hw, 2 * hw), dtype=np.float32))
         loss_fn = trainer.make_loss(
             trainer.TrainConfig(loss="charbonnier+fft"))
-        with Tape() as tape:
+        with Tape(wrt=[x, target, *net.params.values()]) as tape:
             loss = loss_fn(net(x), target, None)
         grads = []
 
@@ -294,20 +294,19 @@ class TestResample:
         (960, 1920, "cubic"), (1920, 960, "cubic"), (480, 1920, "lanczos4"),
         (540, 1080, "lanczos4"), (64, 16, "cubic"), (1, 7, "cubic")])
     def test_matrix_matches_row_oracle_bitwise(self, src, dst, kernel):
-        for antialias in (True, False):
-            got = resample.resize_matrix(src, dst, kernel, antialias)
-            want = resample_oracle.resize_matrix(src, dst, kernel, antialias)
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got.view(np.int64),
-                                          want.view(np.int64))
+        got = resample.resize_matrix(src, dst, kernel)
+        want = resample_oracle.resize_matrix(src, dst, kernel)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      want.view(np.int64))
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 300), st.integers(1, 300),
-           st.sampled_from(["cubic", "lanczos4"]), st.booleans())
+           st.sampled_from(["cubic", "lanczos4"]))
     def test_matrix_matches_row_oracle_bitwise_any_size(self, src, dst,
-                                                        kernel, antialias):
-        got = resample.resize_matrix(src, dst, kernel, antialias)
-        want = resample_oracle.resize_matrix(src, dst, kernel, antialias)
+                                                        kernel):
+        got = resample.resize_matrix(src, dst, kernel)
+        want = resample_oracle.resize_matrix(src, dst, kernel)
         np.testing.assert_array_equal(got.view(np.int64),
                                       want.view(np.int64))
 
