@@ -253,11 +253,38 @@ def _gelu_f32(x: np.ndarray, keep_phi: bool
     return out.reshape(x.shape), None if phi is None else phi.reshape(x.shape)
 
 
+def _gelu_f32_vjp(x: np.ndarray, phi: np.ndarray, g: np.ndarray
+                  ) -> np.ndarray:
+    """g * (phi + x * exp(-0.5 * x * x) * c) of float32 ``x``, c = 1/√(2π).
+
+    Walks the flat array in blocks, through one scratch row and then in
+    place in the output.  Each pass is one step of that expression with the
+    operand order and in-place temporaries numpy's temporary elision gives
+    it on large arrays, so the result is bitwise equal to it there, NaN
+    signs included (which NaN of two a loop returns depends on both).
+    """
+    xf, pf, gf = x.reshape(-1), phi.reshape(-1), g.reshape(-1)
+    out = np.empty_like(xf)
+    d = np.empty_like(xf[:_GELU_BLOCK])
+    for c0 in range(0, xf.size, _GELU_BLOCK):
+        c1 = min(c0 + _GELU_BLOCK, xf.size)
+        xb, db, ob = xf[c0:c1], d[:c1 - c0], out[c0:c1]
+        np.multiply(-0.5, xb, out=db)
+        db *= xb
+        np.exp(db, out=db)
+        db *= np.float32(_INV_SQRT2PI)
+        np.multiply(xb, db, out=ob)
+        ob += pf[c0:c1]
+        ob *= gf[c0:c1]
+    return out.reshape(x.shape)
+
+
 def gelu(a: Tensor) -> Tensor:
     """Exact-erf GELU: x * Phi(x).
 
-    float32 input uses the blocked rational erf of :func:`_gelu_f32`;
-    float64 input keeps scipy's full-precision erf.
+    float32 input uses the blocked rational erf of :func:`_gelu_f32`, and
+    its VJP the blocked :func:`_gelu_f32_vjp`; float64 input keeps scipy's
+    full-precision erf and an out-of-place VJP.
     """
     x = a.data
     if x.dtype == np.float32:
@@ -268,8 +295,10 @@ def gelu(a: Tensor) -> Tensor:
     out = Tensor(val)
 
     def vjp(g):
+        if x.dtype == np.float32:
+            return (_gelu_f32_vjp(x, phi, g),)
         # numpy float64 scalars are not weakly typed: cast the constant so
-        # that float32 gradients are not promoted to float64.
+        # that a narrower float is not promoted to float64.
         dens = np.exp(-0.5 * x * x) * x.dtype.type(_INV_SQRT2PI)
         return ((g * (phi + x * dens)).astype(x.dtype, copy=False),)
 
@@ -493,22 +522,32 @@ def _corr_transpose(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
     x [n, ci, h, w], w [ci, co/g, kh, kw] -> [n, co, out_hw].  Output phase
     (a, b) of the stride grid sees taps (u*s + a, v*s + b) only, so with the
     kernel zero-filled to t*s taps (t = ceil(k/s)) every phase is a stride-1
-    correlation with t x t flipped taps.  One :func:`_corr` computes all s*s
-    phases as channels; a pixel shuffle interleaves them and a crop removes
-    the padding.  Output rows or columns that no input reaches stay zero.
+    correlation with t x t flipped taps, and one :func:`_corr` computes all
+    s*s phases as channels; a pixel shuffle interleaves them.  It runs at
+    padding t-1-d, d the largest trim (at most p/s) whose output still
+    covers every row and column kept, and a crop removes what is left of
+    the padding: a stride-1 input gradient with p < k is one correlation at
+    padding k-1-p and no crop.  Output rows or columns that no input
+    reaches stay zero.
     """
     ci, cog, kh, kw = w.shape
+    _, _, h, wd = x.shape
     s, p, g = stride, padding, groups
+    oh, ow = out_hw
     cig = ci // g
     t = -(-max(kh, kw) // s)
+    d = max(0, min(p // s, t - 1, h + t - 1 + (p + oh) // -s,
+                   wd + t - 1 + (p + ow) // -s))
     wz = np.zeros((g, cig, cog, t * s, t * s), dtype=w.dtype)
     wz[..., :kh, :kw] = w.reshape(g, cig, cog, kh, kw)
     wsub = wz.reshape(g, cig, cog, t, s, t, s)[:, :, :, ::-1, :, ::-1]
     wsub = wsub.transpose(0, 2, 4, 6, 1, 3, 5).reshape(-1, cig, t, t)
-    full = _shuffle_array(_corr(x, wsub, 1, t - 1, g), s)
-    oh, ow = out_hw
+    full = _shuffle_array(_corr(x, wsub, 1, t - 1 - d, g), s)
+    e = p - d * s
+    if e == 0 and full.shape[2:] == (oh, ow):
+        return full
     out = np.zeros((*full.shape[:2], oh, ow), dtype=full.dtype)
-    crop = full[:, :, p:p + oh, p:p + ow]
+    crop = full[:, :, e:e + oh, e:e + ow]
     out[:, :, :crop.shape[2], :crop.shape[3]] = crop
     return out
 
@@ -667,8 +706,25 @@ def _pool_gather_indices(size: int, out_size: int):
     return np.minimum(idx, (ends - 1)[:, None])
 
 
+def _scatter_add(src: np.ndarray, g: np.ndarray, like: np.ndarray
+                 ) -> np.ndarray:
+    """Zeros shaped as ``like`` with each ``g`` added at flat index ``src``.
+
+    One 1-D ``np.add.at`` in C order of ``g``: a target hit more than once
+    receives its adds in the order of the 4-D index form, so the sum is the
+    same to the bit, many times faster.
+    """
+    gx = np.zeros(like.size, like.dtype)
+    np.add.at(gx, src.reshape(-1), g.reshape(-1))
+    return gx.reshape(like.shape)
+
+
 def adaptive_max_pool(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
-    """Adaptive max pooling with floor/ceil window edges per output cell."""
+    """Adaptive max pooling with floor/ceil window edges per output cell.
+
+    Under a tape the flat index of each window's maximum (the first one on
+    ties and NaN) is kept, and the VJP scatter-adds through it.
+    """
     n, c, h, w = x.shape
     oh, ow = out_hw
     if not (1 <= oh <= h and 1 <= ow <= w):
@@ -692,19 +748,21 @@ def adaptive_max_pool(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
         src_w]                                               # n c oh ow Lh
     arg_h = rows_at.argmax(axis=4)
     src_h = idx_h[np.arange(oh)[None, None, :, None], arg_h]
+    # flat index into x of each window's maximum
+    src = (np.arange(n * c).reshape(n, c, 1, 1) * h + src_h) * w + src_w
 
     def vjp(g):
-        gx = np.zeros_like(x.data)
-        ni = np.broadcast_to(np.arange(n)[:, None, None, None], g.shape)
-        ci = np.broadcast_to(np.arange(c)[None, :, None, None], g.shape)
-        np.add.at(gx, (ni, ci, src_h, src_w), g)
-        return (gx,)
+        return (_scatter_add(src, g, x.data),)
 
     return _record((x,), out, vjp)
 
 
 def upsample_nearest(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
-    """Nearest-neighbour resize: out(y, x) = in(y*h//th, x*w//tw)."""
+    """Nearest-neighbour resize: out(y, x) = in(y*h//th, x*w//tw).
+
+    The VJP scatter-adds the gradient through the flat source index of
+    every output pixel; source pixels no output reads get zero.
+    """
     n, c, h, w = x.shape
     th, tw = out_hw
     if th < 1 or tw < 1:
@@ -714,13 +772,9 @@ def upsample_nearest(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
     out = Tensor(np.ascontiguousarray(x.data[:, :, iy][:, :, :, ix]))
 
     def vjp(g):
-        gx = np.zeros_like(x.data)
-        yy = np.broadcast_to(iy[None, None, :, None], g.shape)
-        xx = np.broadcast_to(ix[None, None, None, :], g.shape)
-        ni = np.broadcast_to(np.arange(n)[:, None, None, None], g.shape)
-        ci = np.broadcast_to(np.arange(c)[None, :, None, None], g.shape)
-        np.add.at(gx, (ni, ci, yy, xx), g)
-        return (gx,)
+        src = (np.arange(n * c).reshape(n, c, 1, 1) * h
+               + iy[:, None]) * w + ix
+        return (_scatter_add(src, g, x.data),)
 
     return _record((x,), out, vjp)
 

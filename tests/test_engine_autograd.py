@@ -174,6 +174,31 @@ class TestGradientRequest:
         grads = backward(tape, loss)
         assert len(calls) == 1 and set(grads) == {x, w, b}
 
+    @pytest.mark.parametrize("k,p,groups", [(1, 0, 1), (3, 0, 1), (3, 1, 1),
+                                            (3, 2, 1), (5, 2, 2), (5, 4, 1),
+                                            (3, 1, 4)])
+    def test_stride1_input_gradient_is_one_trimmed_corr(self, monkeypatch,
+                                                        k, p, groups):
+        # the sub-pixel correlation computes only the rows the input has:
+        # one _corr at padding k-1-p, returned as is
+        x = Tensor(rnd(2, 4, 6, 7, seed=46))
+        w = Tensor(rnd(4, 4 // groups, k, k, seed=47))
+        with Tape(wrt=[x, w]) as tape:
+            loss = ops.tsum(ops.square(ops.conv2d(
+                x, ops.ConvParams(w, None, 1, p, groups))))
+        calls = []
+        real = ops._corr
+
+        def spy(*args):
+            out = real(*args)
+            calls.append((args[2:], out.shape))
+            return out
+
+        monkeypatch.setattr(ops, "_corr", spy)
+        grads = backward(tape, loss)
+        assert calls == [((1, k - 1 - p, groups), x.shape)]
+        assert grads[x].shape == x.shape
+
     @pytest.mark.parametrize("scale", [2, 4])
     @pytest.mark.parametrize("name", sorted(builders.BUILDERS))
     def test_parameter_gradients_bitwise_equal_to_full(self, name, scale):

@@ -15,6 +15,7 @@ from scipy.signal import correlate2d
 from scipy.special import erf
 
 import conv_oracle
+import safm_oracle
 from odsr.engine import ops
 from odsr.engine.tensor import Tape, Tensor, backward
 
@@ -171,6 +172,85 @@ class TestGeluFloat32Parity:
         assert np.signbit(y[1])
 
 
+def gelu_vjp_oracle(x, phi, g):
+    """float32 GELU VJP g * (phi + x * exp(-0.5 * x * x) * c), one
+    full-size step at a time, as numpy evaluates that one expression on
+    arrays past its temporary-elision size: each temporary is reused in
+    place, so ``phi + t`` and ``g * t`` run as ``t += phi`` and ``t *= g``.
+    Which of two NaNs a loop returns depends on that operand order."""
+    t = -0.5 * x
+    t *= x
+    dens = np.exp(t)
+    dens *= np.float32(1.0 / np.sqrt(2.0 * np.pi))
+    s = x * dens
+    s += phi
+    s *= g
+    return s
+
+
+GELU_EDGES = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1e-40, -1e-45,
+              6.0, -6.0, 1e4, -1e4]  # past 4√2 the rational erf is clamped
+
+
+class TestGeluVjpBitwise:
+    """The blocked float32 GELU VJP against :func:`gelu_vjp_oracle`, bit
+    for bit."""
+
+    @staticmethod
+    def check(x, g):
+        xt = Tensor(x)
+        with np.errstate(all="ignore"):
+            with Tape(wrt=[xt]) as tape:
+                ops.gelu(xt)
+            (gx,) = tape.nodes[-1].vjp(g)
+            _, phi = ops._gelu_f32(x, keep_phi=True)
+            want = gelu_vjp_oracle(x, phi, g)
+        assert gx.dtype == np.float32 and gx.shape == x.shape
+        assert gx.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 70_000).flatmap(lambda n: st.tuples(*(
+        arrays(np.float32, n, elements=st.floats(width=32)
+               | st.sampled_from(GELU_EDGES)) for _ in range(2)))))
+    def test_matches_oracle(self, xg):
+        # sizes past 32K elements end in a partial block
+        self.check(*xg)
+
+    @pytest.mark.parametrize("n", [1, ops._GELU_BLOCK - 1, ops._GELU_BLOCK,
+                                   2 * ops._GELU_BLOCK + 5])
+    def test_edges_at_block_ends(self, n):
+        edges = np.array(GELU_EDGES, np.float32)
+        assert np.signbit(edges[1]) and np.isnan(edges[1])  # a -NaN
+        x = 5 * rnd(n, seed=40, dtype=np.float32)
+        g = rnd(n, seed=41, dtype=np.float32)
+        # every edge against every other, at the start of each block and
+        # at the very end of the array
+        pairs = np.array(np.meshgrid(edges, edges)).reshape(2, -1)
+        for at in [*range(0, n, ops._GELU_BLOCK), n - pairs.shape[1]]:
+            at = max(0, at)
+            m = min(pairs.shape[1], n - at)
+            x[at:at + m], g[at:at + m] = pairs[:, :m]
+        self.check(x, g)
+
+    def test_float64_keeps_the_scipy_path(self, monkeypatch):
+        calls = []
+        real_erf = ops.erf
+        monkeypatch.setattr(ops, "erf",
+                            lambda z: calls.append(z.dtype) or real_erf(z))
+        monkeypatch.setattr(ops, "_gelu_f32_vjp", None)  # must not be called
+        x = 3 * rnd(4, 5, seed=42)
+        g = rnd(4, 5, seed=43)
+        xt = Tensor(x)
+        with Tape(wrt=[xt]) as tape:
+            ops.gelu(xt)
+        (gx,) = tape.nodes[-1].vjp(g)
+        # the float64 expression, unchanged
+        phi = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+        dens = np.exp(-0.5 * x * x) * (1.0 / np.sqrt(2.0 * np.pi))
+        assert calls == [np.float64] and gx.dtype == np.float64
+        assert gx.tobytes() == (g * (phi + x * dens)).tobytes()
+
+
 class TestConv:
     def test_conv2d_matches_scipy(self):
         x = rnd(1, 1, 9, 11, seed=8)
@@ -321,6 +401,64 @@ class TestConv:
         lhs, rhs = np.vdot(cx.data, y), np.vdot(x, xt)
         assert abs(lhs - rhs) <= 1e-12 * np.vdot(np.abs(x), np.abs(xt))
 
+    @pytest.mark.parametrize("k,s,p,h,pad", [
+        (9, 2, 4, 5, 2),  # fsrcnn's x2 tail: no padding left to crop
+        (9, 4, 4, 5, 1),  # fsrcnn's x4 tail
+        (5, 1, 3, 5, 1),  # stride 1: padding k-1-p
+        (4, 2, 1, 5, 1),  # p < s, as in vacv's tail: nothing to trim
+        (4, 2, 2, 1, 1),  # op = 1 keeps a row past any trimmed output
+        (3, 2, 3, 4, 0),  # p >= k: the trim stops at padding 0
+        (5, 2, 6, 6, 0),
+        (1, 1, 1, 5, 0),
+    ])
+    def test_conv_transpose_trims_the_padding(self, monkeypatch, k, s, p, h,
+                                              pad):
+        """The sub-pixel correlation runs at padding ceil(k/s)-1-d for the
+        largest trim d that covers the output, for every output_padding,
+        and the result matches the im2col oracle (p < k) or is conv2d's
+        adjoint (any p)."""
+        calls = []
+        real = ops._corr
+        monkeypatch.setattr(ops, "_corr", lambda *a: calls.append(a[3]) or
+                            real(*a))
+        x = rnd(2, 3, h, h + 2, seed=27)
+        w = rnd(3, 2, k, k, seed=28)
+        for op in range(s):
+            if (h - 1) * s - 2 * p + k + op < 1:
+                continue  # empty output
+            del calls[:]
+            got = ops.conv_transpose2d(Tensor(x), Tensor(w), None, s, p,
+                                       op).data
+            assert calls == [pad], op
+            assert got.flags.c_contiguous
+            if p < k:
+                want = conv_oracle.conv_transpose2d(x, w, s, p, op)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            y = rnd(*got.shape, seed=29)
+            cy = ops.conv2d(Tensor(y), ops.ConvParams(Tensor(w), None, s, p))
+            lhs, rhs = np.vdot(cy.data, x), np.vdot(y, got)
+            assert abs(lhs - rhs) <= 1e-12 * np.vdot(np.abs(y), np.abs(got))
+
+    @pytest.mark.parametrize("hw,pad", [((6, 6), 0), ((6, 7), 1),
+                                        ((7, 6), 1), ((7, 7), 1)])
+    def test_strided_input_gradient_trims_by_the_tighter_side(
+            self, monkeypatch, hw, pad):
+        # k=4, s=2, p=2: an odd side keeps one more input row or column than
+        # the trimmed sub-pixel output covers, so either side can stop it
+        x = Tensor(rnd(2, 3, *hw, seed=35))
+        w = rnd(2, 3, 4, 4, seed=36)
+        with Tape(wrt=[x]) as tape:
+            out = ops.conv2d(x, ops.ConvParams(Tensor(w), None, 2, 2))
+        g = rnd(*out.shape, seed=37)
+        calls = []
+        real = ops._corr
+        monkeypatch.setattr(ops, "_corr", lambda *a: calls.append(a[3]) or
+                            real(*a))
+        (gx,) = tape.nodes[-1].vjp(g)[:1]
+        assert calls == [pad]
+        want = conv_oracle.corr2d_xgrad(g, w, 2, 2, hw, 1)
+        np.testing.assert_allclose(gx, want, rtol=0, atol=1e-12)
+
     def test_conv_param_validation(self):
         with pytest.raises(ValueError):
             ops.ConvParams(weight=Tensor(rnd(4, 3, 3, 3)), bias=None,
@@ -433,6 +571,77 @@ class TestShuffleAndPool:
         np.testing.assert_array_equal(
             ops.repeat_channels(Tensor(a), 3).data,
             np.repeat(a, 3, axis=1))
+
+
+def recorded_vjp(op, x, *args, seed=0):
+    """(input gradient, upstream gradient) of ``op(x, *args)``'s VJP for a
+    random float32 upstream gradient."""
+    xt = Tensor(x)
+    with Tape(wrt=[xt]) as tape:
+        y = op(xt, *args)
+    g = np.random.default_rng(seed).standard_normal(y.shape).astype(x.dtype)
+    (gx,) = tape.nodes[-1].vjp(g)
+    return gx, g
+
+
+@st.composite
+def safm_plane(draw, values):
+    """[n, c, h, w] float32 drawn from ``values`` (few values make ties)."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+             draw(st.integers(1, 19)), draw(st.integers(1, 19)))
+    return draw(arrays(np.float32, shape, elements=st.sampled_from(values)))
+
+
+class TestSafmAdjoints:
+    """The flat-index scatter-add VJPs are bitwise equal to the 4-D index
+    ``np.add.at`` forms of ``tests/safm_oracle.py``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(safm_plane([0.0, 1.0, -2.5, 3.25]), st.integers(1, 41),
+           st.integers(1, 41), st.integers(0, 2**32 - 1))
+    def test_upsample_nearest_matches_oracle(self, x, th, tw, seed):
+        # targets run from smaller than the source (rows skipped) to well
+        # past twice its size, divisible or not
+        gx, g = recorded_vjp(ops.upsample_nearest, x, (th, tw), seed=seed)
+        want = safm_oracle.upsample_nearest_vjp(g, x.shape[2:])
+        assert gx.dtype == np.float32 and gx.shape == x.shape
+        assert gx.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
+
+    def test_upsample_nearest_skipped_sources_stay_zero(self):
+        x = rnd(2, 3, 9, 7, seed=30, dtype=np.float32)
+        gx, g = recorded_vjp(ops.upsample_nearest, x, (4, 3))
+        read_y, read_x = (np.arange(4) * 9) // 4, (np.arange(3) * 7) // 3
+        unread = np.ones(x.shape, bool)
+        unread[:, :, read_y[:, None], read_x] = False
+        assert unread.any() and not gx[unread].any()
+        np.testing.assert_array_equal(gx[:, :, read_y[:, None], read_x], g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(safm_plane([0.0, 1.0, 1.0, -1.0, np.nan, np.inf]),
+           st.integers(1, 19), st.integers(1, 19), st.integers(0, 2**32 - 1))
+    def test_adaptive_max_pool_matches_oracle(self, x, oh, ow, seed):
+        # few values make tied maxima; NaN and inf are maxima too
+        oh, ow = min(oh, x.shape[2]), min(ow, x.shape[3])
+        gx, g = recorded_vjp(ops.adaptive_max_pool, x, (oh, ow), seed=seed)
+        want = safm_oracle.adaptive_max_pool_vjp(x, g)
+        assert gx.dtype == np.float32 and gx.shape == x.shape
+        assert gx.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
+
+    @pytest.mark.parametrize("shape,out_hw", [
+        ((8, 9, 16, 16), (32, 32)), ((8, 9, 4, 4), (32, 32)),
+        ((1, 11, 9, 240), (18, 480)), ((1, 9, 4, 120), (18, 480))])
+    def test_train_and_band_shapes_match_oracle(self, shape, out_hw):
+        # the Safm pyramid's shapes at batch 8 and on the sr band, including
+        # its non-divisible 18-row level
+        x = rnd(*shape, seed=31, dtype=np.float32)
+        up, g = recorded_vjp(ops.upsample_nearest, x, out_hw, seed=32)
+        want = safm_oracle.upsample_nearest_vjp(g, shape[2:])
+        assert up.tobytes() == want.tobytes()
+        big = rnd(*shape[:2], *out_hw, seed=33, dtype=np.float32)
+        pool, g = recorded_vjp(ops.adaptive_max_pool, big, shape[2:],
+                               seed=34)
+        assert pool.tobytes() == safm_oracle.adaptive_max_pool_vjp(
+            big, g).tobytes()
 
 
 class TestSpectral:
