@@ -110,8 +110,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     ref = media.load_sequence(_need(args, "ref"))
     test = media.load_sequence(_need(args, "test"))
-    report = harness.evaluate_pair(ref.frames, test.frames,
-                                   plane=args.plane, workers=args.workers)
+    report = harness.evaluate_pair(ref.frames, test.frames, plane=args.plane)
     lines = ["frame,ws_psnr,ws_ssim,psnr,ssim"]
     for i in range(len(report.ws_psnr)):
         lines.append(f"{i},{report.ws_psnr[i]:.6f},{report.ws_ssim[i]:.6f},"
@@ -257,7 +256,6 @@ def build_parser() -> tuple[argparse.ArgumentParser,
     p.add_argument("--ref", help="reference sequence path")
     p.add_argument("--test", help="test sequence path")
     p.add_argument("--plane", choices=("y", "rgb-mean"), default="y")
-    p.add_argument("--workers", type=int, help="parallel frame workers")
 
     p = add("bdrate", _cmd_bdrate, "Bjontegaard delta between RD curves")
     p.add_argument("--anchor", help="anchor bitrate,quality CSV")

@@ -253,15 +253,17 @@ def _gelu_f32(x: np.ndarray, keep_phi: bool
     return out.reshape(x.shape), None if phi is None else phi.reshape(x.shape)
 
 
-def _gelu_f32_vjp(x: np.ndarray, phi: np.ndarray, g: np.ndarray
-                  ) -> np.ndarray:
-    """g * (phi + x * exp(-0.5 * x * x) * c) of float32 ``x``, c = 1/√(2π).
+def _gelu_vjp(x: np.ndarray, phi: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g * (phi + x * exp(-0.5 * x * x) * c) of ``x``, c = 1/√(2π) in x's
+    dtype.
 
     Walks the flat array in blocks, through one scratch row and then in
     place in the output.  Each pass is one step of that expression with the
     operand order and in-place temporaries numpy's temporary elision gives
     it on large arrays, so the result is bitwise equal to it there, NaN
     signs included (which NaN of two a loop returns depends on both).
+    Elsewhere only the operands of one add and one multiply are swapped,
+    which changes no finite result.
     """
     xf, pf, gf = x.reshape(-1), phi.reshape(-1), g.reshape(-1)
     out = np.empty_like(xf)
@@ -272,7 +274,7 @@ def _gelu_f32_vjp(x: np.ndarray, phi: np.ndarray, g: np.ndarray
         np.multiply(-0.5, xb, out=db)
         db *= xb
         np.exp(db, out=db)
-        db *= np.float32(_INV_SQRT2PI)
+        db *= x.dtype.type(_INV_SQRT2PI)
         np.multiply(xb, db, out=ob)
         ob += pf[c0:c1]
         ob *= gf[c0:c1]
@@ -283,8 +285,8 @@ def gelu(a: Tensor) -> Tensor:
     """Exact-erf GELU: x * Phi(x).
 
     float32 input uses the blocked rational erf of :func:`_gelu_f32`, and
-    its VJP the blocked :func:`_gelu_f32_vjp`; float64 input keeps scipy's
-    full-precision erf and an out-of-place VJP.
+    float64 input scipy's full-precision erf; both dtypes share the blocked
+    VJP :func:`_gelu_vjp`.
     """
     x = a.data
     if x.dtype == np.float32:
@@ -292,17 +294,7 @@ def gelu(a: Tensor) -> Tensor:
     else:
         phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
         val = x * phi
-    out = Tensor(val)
-
-    def vjp(g):
-        if x.dtype == np.float32:
-            return (_gelu_f32_vjp(x, phi, g),)
-        # numpy float64 scalars are not weakly typed: cast the constant so
-        # that a narrower float is not promoted to float64.
-        dens = np.exp(-0.5 * x * x) * x.dtype.type(_INV_SQRT2PI)
-        return ((g * (phi + x * dens)).astype(x.dtype, copy=False),)
-
-    return _record((a,), out, vjp)
+    return _record((a,), Tensor(val), lambda g: (_gelu_vjp(x, phi, g),))
 
 
 # -- convolution ----------------------------------------------------------
@@ -330,10 +322,6 @@ class ConvParams:
         if self.bias is not None and self.bias.shape != (oc,):
             raise ValueError(
                 f"bias shape {self.bias.shape} does not match out_ch {oc}")
-
-    @property
-    def out_ch(self) -> int:
-        return self.weight.shape[0]
 
     @property
     def in_ch(self) -> int:
@@ -865,14 +853,15 @@ def ifft2_rc(z: Tensor) -> Tensor:
 
 # -- composite: global response normalization -----------------------------
 
-def grn(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
+def grn(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Global response normalization: x * gamma * (g / mean_c(g)) + beta + x.
 
-    g is the per-channel spatial L2 norm. gamma/beta are [1, c, 1, 1] and
-    initialize to zero so the layer starts as identity.
+    g is the per-channel spatial L2 norm, and mean_c(g) has 1e-6 added.
+    gamma/beta are [1, c, 1, 1] and initialize to zero so the layer starts
+    as identity.
     """
     gnorm = sqrt(tsum(square(x), axis=(2, 3), keepdims=True))
-    denom = add(tmean(gnorm, axis=1, keepdims=True), eps)
+    denom = add(tmean(gnorm, axis=1, keepdims=True), 1e-6)
     nx = div(gnorm, denom)
     return add(add(mul(gamma, mul(x, nx)), beta), x)
 

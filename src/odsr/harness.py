@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -124,16 +125,15 @@ class RuntimeSample:
                 if mean != 0.0 and len(self.seconds) > 1 else 0.0)
 
 
-def measure_runtime(model, frame, warmup: int = 5,
-                    reps: int = 30, seed: int = 0,
+def measure_runtime(model, frame, warmup: int = 5, reps: int = 30,
                     clock: Callable[[], float] = time.perf_counter
                     ) -> RuntimeSample:
     """Time ``model``; excludes I/O, conversion, and weight loading.
 
     ``frame`` is either a FrameBuffer or an (h, w) pair, in which case a
-    fixed random input is synthesized.  The same tensor is reused across
-    warmup and timed repetitions, so only the forward pass sits between
-    the clock reads.
+    fixed random input (seed 0) is synthesized.  The same tensor is reused
+    across warmup and timed repetitions, so only the forward pass sits
+    between the clock reads.
     """
     if reps < 3:
         raise ValueError(f"reps must be >= 3, got {reps}")
@@ -142,7 +142,7 @@ def measure_runtime(model, frame, warmup: int = 5,
         h, w = frame.height, frame.width
     else:
         h, w = frame
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         x = Tensor(rng.random((1, 3, h, w), dtype=np.float32))
     out_hw = (h, w)
     for _ in range(warmup):
@@ -217,9 +217,11 @@ def _pair_metrics(ref: FrameBuffer, test: FrameBuffer,
             qm.mse_to_db(plain), statistics.fmean(ssim))
 
 
-def evaluate_pair(ref_frames, test_frames, plane: str = "y",
-                  workers: int | None = None) -> MetricReport:
-    """Frame-aligned metrics between a reference and a test sequence."""
+def evaluate_pair(ref_frames, test_frames, plane: str = "y"
+                  ) -> MetricReport:
+    """Frame-aligned metrics between a reference and a test sequence,
+    scored on ``min(frames, CPUs)`` threads (serially when that is one);
+    a frame's values do not depend on the thread that scores it."""
     refs = list(ref_frames)
     tests = list(test_frames)
     if len(refs) != len(tests):
@@ -232,7 +234,8 @@ def evaluate_pair(ref_frames, test_frames, plane: str = "y",
             raise ValueError(
                 f"frame {i} size mismatch: ref {r.width}x{r.height} vs "
                 f"test {t.width}x{t.height}")
-    if workers is not None and workers > 1:
+    workers = min(len(refs), os.cpu_count() or 1)
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(
                 lambda pair: _pair_metrics(pair[0], pair[1], plane),

@@ -8,10 +8,11 @@ from .engine.tensor import Tensor
 from .metrics import WeightMap
 
 
-def charbonnier_loss(x: Tensor, y: Tensor, eps: float = 1e-3) -> Tensor:
-    """mean(sqrt((x - y)^2 + eps^2)); a smooth L1 that equals eps at x == y."""
+def charbonnier_loss(x: Tensor, y: Tensor) -> Tensor:
+    """mean(sqrt((x - y)^2 + eps^2)), eps = 1e-3; a smooth L1 that equals
+    eps at x == y."""
     d = ops.sub(x, y)
-    return ops.tmean(ops.sqrt(ops.add(ops.square(d), eps * eps)))
+    return ops.tmean(ops.sqrt(ops.add(ops.square(d), 1e-3 * 1e-3)))
 
 
 def fft_loss(x: Tensor, y: Tensor) -> Tensor:

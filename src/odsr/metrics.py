@@ -100,11 +100,15 @@ def psnr(ref, test, peak: float = 255.0) -> float:
 
 _WIN = 11
 _RADIUS = _WIN // 2
+_SIGMA = 1.5
+# SSIM's stabilizers (0.01 peak)^2 and (0.03 peak)^2 at the 8-bit peak 255
+_C1 = (0.01 * 255.0) ** 2
+_C2 = (0.03 * 255.0) ** 2
 
 
-def _gaussian_taps(sigma: float = 1.5) -> np.ndarray:
+def _gaussian_taps() -> np.ndarray:
     x = np.arange(_WIN, dtype=np.float64) - _RADIUS
-    g = np.exp(-(x * x) / (2.0 * sigma * sigma))
+    g = np.exp(-(x * x) / (2.0 * _SIGMA * _SIGMA))
     return g / g.sum()
 
 
@@ -114,8 +118,9 @@ def _ssim_rows(width: int) -> int:
     return max(1, (_BLOCK // (5 * width) - 10) // 3)
 
 
-def ssim_map(ref, test, peak: float = 255.0) -> np.ndarray:
-    """Valid-mode SSIM map: shape (h-10, w-10), 11x11 Gaussian sigma 1.5.
+def ssim_map(ref, test) -> np.ndarray:
+    """Valid-mode SSIM map of 8-bit-range planes (peak 255): shape
+    (h-10, w-10), 11x11 Gaussian sigma 1.5.
 
     One walk over blocks of output rows, with block scratch sized to stay
     in cache. A block fills r, t, r*r, t*t and r*t as float64 over its rows
@@ -135,8 +140,6 @@ def ssim_map(ref, test, peak: float = 255.0) -> np.ndarray:
         raise ValueError(
             f"frame {r.shape} smaller than the {_WIN}x{_WIN} SSIM window")
     g = _gaussian_taps()
-    c1 = (0.01 * peak) ** 2
-    c2 = (0.03 * peak) ** 2
     out = np.empty((h - 2 * _RADIUS, w - 2 * _RADIUS))
     rows = min(_ssim_rows(w), len(out))
     planes = np.empty((5, rows + 2 * _RADIUS, w))
@@ -164,18 +167,18 @@ def ssim_map(ref, test, peak: float = 255.0) -> np.ndarray:
         s12 -= mu12
         # ((2 mu12 + c1) (2 s12 + c2))
         #   / ((mu1_sq + mu2_sq + c1) (s1 + s2 + c2))
-        num = np.add(np.multiply(mu12, 2, out=mu12), c1, out=mu12)
-        num *= np.add(np.multiply(s12, 2, out=s12), c2, out=s12)
-        den = np.add(np.add(mu1, mu2, out=mu1), c1, out=mu1)
-        den *= np.add(np.add(s1, s2, out=s1), c2, out=s1)
+        num = np.add(np.multiply(mu12, 2, out=mu12), _C1, out=mu12)
+        num *= np.add(np.multiply(s12, 2, out=s12), _C2, out=s12)
+        den = np.add(np.add(mu1, mu2, out=mu1), _C1, out=mu1)
+        den *= np.add(np.add(s1, s2, out=s1), _C2, out=s1)
         num /= den
         out[o:o + n] = num[:, _RADIUS:-_RADIUS]
     return out
 
 
-def ssim_means(ref, test, peak: float = 255.0) -> tuple[float, float]:
-    """(WS-SSIM, SSIM) of one plane pair, from one SSIM map."""
-    smap = ssim_map(ref, test, peak)
+def ssim_means(ref, test) -> tuple[float, float]:
+    """(WS-SSIM, SSIM) of one 8-bit-range plane pair, from one SSIM map."""
+    smap = ssim_map(ref, test)
     plain = float(smap.mean())
     wmap = WeightMap.for_frame(*np.asarray(ref).shape).as_array()
     wmap = wmap[_RADIUS:-_RADIUS, _RADIUS:-_RADIUS]
@@ -183,11 +186,11 @@ def ssim_means(ref, test, peak: float = 255.0) -> tuple[float, float]:
     return float(smap.sum() / wmap.sum()), plain
 
 
-def ws_ssim(ref, test, peak: float = 255.0) -> float:
+def ws_ssim(ref, test) -> float:
     """SSIM map weighted by latitude cosines at the window centers."""
-    return ssim_means(ref, test, peak)[0]
+    return ssim_means(ref, test)[0]
 
 
-def ssim(ref, test, peak: float = 255.0) -> float:
+def ssim(ref, test) -> float:
     """Plain mean of the valid-mode SSIM map."""
-    return ssim_means(ref, test, peak)[1]
+    return ssim_means(ref, test)[1]

@@ -29,16 +29,16 @@ def cubic_kernel(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def lanczos_kernel(t: np.ndarray, taps: int = 4) -> np.ndarray:
-    """Lanczos windowed sinc, support ``taps``."""
+def lanczos_kernel(t: np.ndarray) -> np.ndarray:
+    """Lanczos-4 windowed sinc, support 4."""
     t = np.asarray(t, dtype=np.float64)
-    out = np.sinc(t) * np.sinc(t / taps)
-    return np.where(np.abs(t) < taps, out, 0.0)
+    out = np.sinc(t) * np.sinc(t / 4)
+    return np.where(np.abs(t) < 4, out, 0.0)
 
 
 _KERNELS = {
     "cubic": (cubic_kernel, 2.0),
-    "lanczos4": (lambda t: lanczos_kernel(t, 4), 4.0),
+    "lanczos4": (lanczos_kernel, 4.0),
 }
 
 

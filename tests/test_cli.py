@@ -303,6 +303,37 @@ class TestRunAndMetrics:
         assert (up.height, up.width) == (32, 48)
         assert len(up.frames) == 2
 
+    def test_run_keeps_gray_frames_gray(self, capsys, tmp_path):
+        src, dst = tmp_path / "in", tmp_path / "out"
+        rng = np.random.default_rng(3)
+        media.save_sequence(src, media.VideoSequence([
+            media.FrameBuffer.from_y(np.full((16, 24), 100, np.uint8)),
+            media.FrameBuffer.from_y(
+                rng.integers(0, 256, (16, 24), dtype=np.uint8))]))
+        code, _, _ = run_cli(capsys, "run", "--model", "bicubic",
+                             "--scale", "2", "--input", str(src),
+                             "--out", str(dst))
+        assert code == 0
+        assert all(f.read_bytes()[:2] == b"P5" for f in dst.iterdir())
+        up = media.load_sequence(dst)
+        assert [f.layout for f in up.frames] == ["y8", "y8"]
+        assert (up.height, up.width) == (32, 48)
+        assert (up.frames[0].y() == 100).all()
+
+    def test_run_y4m_to_ppm_directory(self, capsys, tmp_path):
+        clip = tmp_path / "c.y4m"
+        write_clip(clip, frames=2, hw=(16, 24))
+        outs = {}
+        for out in ("up.y4m", "up"):
+            code, _, _ = run_cli(capsys, "run", "--model", "bicubic",
+                                 "--scale", "2", "--input", str(clip),
+                                 "--out", str(tmp_path / out))
+            assert code == 0
+            outs[out] = media.load_sequence(tmp_path / out).frames
+        # the directory holds the 4:2:0 frames converted to RGB
+        assert [f.layout for f in outs["up"]] == ["rgb8", "rgb8"]
+        assert outs["up"] == [media.yuv420_to_rgb(f) for f in outs["up.y4m"]]
+
     def test_metrics_identical_sequences(self, capsys, tmp_path):
         src = tmp_path / "ref"
         write_clip(src, frames=2, hw=(16, 24))
@@ -419,6 +450,25 @@ class TestTrain:
         assert code == 0
         assert seen == [trainer.TrainConfig(iterations=1, batch=2, patch=8,
                                             loss="ws-l1", mixup=True)]
+
+    def test_frames_from_y4m(self, capsys, tmp_path, monkeypatch):
+        seen = []
+        real_train = trainer.train
+
+        def spy(net, frames, cfg):
+            seen.append(frames)
+            return real_train(net, frames, cfg)
+
+        monkeypatch.setattr(trainer, "train", spy)
+        clip = tmp_path / "c.y4m"
+        write_clip(clip, frames=2, hw=(32, 32))
+        code, out, _ = run_cli(capsys, "train", "--model", "fsrcnn",
+                               "--scale", "2", "--frames", str(clip),
+                               "--iterations", "1", "--batch", "2",
+                               "--patch", "8")
+        assert code == 0
+        assert len(out.strip().split("\n")) == 2
+        assert seen == [media.load_sequence(clip).frames]
 
     def test_bad_loss_name(self, capsys):
         code, _, err = run_cli(capsys, "train", "--model", "fsrcnn",

@@ -175,14 +175,23 @@ class TestEvaluatePair:
             harness.evaluate_pair([make_frame(rng, 16, 16)],
                                   [make_frame(rng, 16, 24)])
 
-    def test_workers_match_serial(self):
+    def test_workers_match_serial(self, monkeypatch):
+        # three CPUs, so four frames take the threaded path on any machine
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        pools = []
+        real_pool = harness.ThreadPoolExecutor
+        monkeypatch.setattr(harness, "ThreadPoolExecutor",
+                            lambda **kw: pools.append(kw) or real_pool(**kw))
         rng = np.random.default_rng(8)
         ref = [make_frame(rng, 16, 24) for _ in range(4)]
         test = [make_frame(rng, 16, 24) for _ in range(4)]
-        serial = harness.evaluate_pair(ref, test)
-        threaded = harness.evaluate_pair(ref, test, workers=3)
-        assert serial.ws_psnr == threaded.ws_psnr
-        assert serial.ws_ssim == threaded.ws_ssim
+        threaded = harness.evaluate_pair(ref, test)
+        assert pools == [{"max_workers": 3}]
+        single = [harness.evaluate_pair([r], [t]) for r, t in zip(ref, test)]
+        assert len(pools) == 1  # a one-frame call scores serially
+        for key in ("ws_psnr", "ws_ssim", "psnr", "ssim"):
+            assert getattr(threaded, key) == [
+                getattr(s, key)[0] for s in single]
 
 
 def entry(team, ws_psnr, runtime, scale=4, **kw):

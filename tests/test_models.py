@@ -182,7 +182,51 @@ class TestSpecWalk:
         assert str(err.value) == message
 
 
+class TestDescriptorWalk:
+    @pytest.mark.parametrize("scale", [2, 4])
+    @pytest.mark.parametrize("name", sorted(builders.BUILDERS))
+    def test_walk_paths_are_forward_paths(self, name, scale, monkeypatch):
+        """``iter_descriptors`` yields each descriptor with the path its
+        ``forward`` receives, in the order forwards start."""
+        spec = builders.build(name, scale)
+        walked = list(blocks.iter_descriptors(spec.layers))
+        ran = []
+        for kind in {type(layer) for _, layer in walked}:
+            def forward(self, x, P, path, _real=kind.forward):
+                ran.append((path, self))
+                return _real(self, x, P, path)
+            monkeypatch.setattr(kind, "forward", forward)
+        side = max(spec.min_hw, spec.hw_multiple)
+        networks.Network.init(spec)(
+            Tensor(np.zeros((1, 3, side, side), np.float32)))
+        # UpsampleAddSkip runs its declared RepeatChannels, PixelShuffle,
+        # Conv tail as one transposed conv, so those three never run
+        tails = {f"{path}.{i}" for path, layer in walked
+                 if isinstance(layer, blocks.UpsampleAddSkip)
+                 for i in range(len(layer.body) - 3, len(layer.body))}
+        assert bool(tails) == (name == "vacv")
+        want = [(path, layer) for path, layer in walked if path not in tails]
+        assert [path for path, _ in ran] == [path for path, _ in want]
+        assert all(a is b for (_, a), (_, b) in zip(ran, want))
+
+
+# count_flops at the 2K LR size (540x960 at x2, 270x480 at x4)
+FLOPS_2K = {
+    ("athena", 2): 26968334400, ("athena", 4): 12032874000,
+    ("cspsr", 2): 196643635200, ("cspsr", 4): 54535680000,
+    ("ffcir", 2): 422836998592, ("ffcir", 4): 107985939328,
+    ("fsrcnn", 2): 25320729600, ("fsrcnn", 4): 6330182400,
+    ("vacv", 2): 345725330880, ("vacv", 4): 90135668640,
+}
+
+
 class TestFlops:
+    @pytest.mark.parametrize("name, scale", sorted(FLOPS_2K))
+    def test_2k_counts_pinned(self, name, scale):
+        spec = builders.build(name, scale)
+        flops = networks.count_flops(spec, (1080 // scale, 1920 // scale))
+        assert flops == FLOPS_2K[name, scale]
+
     def test_positive_and_resolution_scaling(self):
         spec = builders.build("cspsr", 2)
         f1 = networks.count_flops(spec, (16, 16))
