@@ -98,7 +98,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     seq = media.load_sequence(_need(args, "input"))
     out_path = _need(args, "out")
     model = harness.make_model(name, scale, args.checkpoint, seed=args.seed)
-    frames = list(harness.run_sequence(model, seq.frames))
+    # a PPM directory stores colour as RGB: encode the network's RGB output
+    # as such, not through 4:2:0 and back
+    to_ppm = Path(out_path).suffix.lower() != ".y4m"
+    layout = "rgb8" if to_ppm and seq.layout == "yuv420" else None
+    frames = list(harness.run_sequence(model, seq.frames, layout))
     media.save_sequence(out_path, media.VideoSequence(
         frames, seq.fps, seq.extra_header, seq.frame_markers))
     print(f"{name} x{scale}: {len(frames)} frames "

@@ -1,8 +1,10 @@
 """Differentiable operations over :class:`~odsr.engine.tensor.Tensor`.
 
 Every op computes eagerly with numpy and, when the active tape needs the
-gradient of one of its inputs, records a VJP closure.  Broadcasting follows
-numpy rules for the elementwise ops; convolution and friends are NCHW.
+gradient of one of its inputs, records a VJP closure.  A closure captures
+only the arrays and shapes it reads, never a Tensor, so the tape keeps no
+output or input that backward does not read.  Broadcasting follows numpy
+rules for the elementwise ops; convolution and friends are NCHW.
 """
 from __future__ import annotations
 
@@ -85,9 +87,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _pair(a, b)
     out = Tensor(a.data + b.data)
+    sa, sb = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _record((a, b), out, vjp)
 
@@ -95,31 +98,33 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _pair(a, b)
     out = Tensor(a.data - b.data)
+    sa, sb = a.shape, b.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
 
     return _record((a, b), out, vjp)
 
 
 def mul(a, b) -> Tensor:
     a, b = _pair(a, b)
-    out = Tensor(a.data * b.data)
+    x, y = a.data, b.data
+    out = Tensor(x * y)
 
     def vjp(g):
-        return (_unbroadcast(g * b.data, a.shape),
-                _unbroadcast(g * a.data, b.shape))
+        return _unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)
 
     return _record((a, b), out, vjp)
 
 
 def div(a, b) -> Tensor:
     a, b = _pair(a, b)
-    out = Tensor(a.data / b.data)
+    x, y = a.data, b.data
+    out = Tensor(x / y)
 
     def vjp(g):
-        return (_unbroadcast(g / b.data, a.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        return (_unbroadcast(g / y, x.shape),
+                _unbroadcast(-g * x / (y * y), y.shape))
 
     return _record((a, b), out, vjp)
 
@@ -130,8 +135,9 @@ def neg(a: Tensor) -> Tensor:
 
 
 def square(a: Tensor) -> Tensor:
-    out = Tensor(a.data * a.data)
-    return _record((a,), out, lambda g: (g * (2.0 * a.data),))
+    x = a.data
+    out = Tensor(x * x)
+    return _record((a,), out, lambda g: (g * (2.0 * x),))
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -141,8 +147,9 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 def absolute(a: Tensor) -> Tensor:
-    out = Tensor(np.abs(a.data))
-    return _record((a,), out, lambda g: (g * np.sign(a.data),))
+    x = a.data
+    out = Tensor(np.abs(x))
+    return _record((a,), out, lambda g: (g * np.sign(x),))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -168,10 +175,11 @@ def _restore_axes(g: np.ndarray, shape, axis, keepdims) -> np.ndarray:
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
+    shape, dtype = a.shape, a.dtype
 
     def vjp(g):
-        return (_restore_axes(g, a.shape, axis, keepdims).astype(
-            a.data.dtype, copy=False),)
+        return (_restore_axes(g, shape, axis, keepdims).astype(
+            dtype, copy=False),)
 
     return _record((a,), out, vjp)
 
@@ -179,10 +187,11 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(a.data.mean(axis=axis, keepdims=keepdims))
     count = a.size / out.size
+    shape, dtype = a.shape, a.dtype
 
     def vjp(g):
-        full = _restore_axes(g, a.shape, axis, keepdims)
-        return ((full / count).astype(a.data.dtype, copy=False),)
+        full = _restore_axes(g, shape, axis, keepdims)
+        return ((full / count).astype(dtype, copy=False),)
 
     return _record((a,), out, vjp)
 
@@ -190,8 +199,9 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # -- activations ----------------------------------------------------------
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0))
-    return _record((a,), out, lambda g: (g * (a.data > 0),))
+    x = a.data
+    out = Tensor(np.maximum(x, 0))
+    return _record((a,), out, lambda g: (g * (x > 0),))
 
 
 def leaky_relu(a: Tensor) -> Tensor:
@@ -202,12 +212,13 @@ def leaky_relu(a: Tensor) -> Tensor:
     pass into a fresh array plus in-place ufuncs, several times faster than
     those ``np.where`` forms.
     """
-    val = _LEAKY_SLOPE * a.data
-    np.maximum(val, a.data, out=val)
+    x = a.data
+    val = _LEAKY_SLOPE * x
+    np.maximum(val, x, out=val)
     out = Tensor(val)
 
     def vjp(g):
-        gx = (a.data > 0).astype(g.dtype)
+        gx = (x > 0).astype(g.dtype)
         np.maximum(gx, _LEAKY_SLOPE, out=gx)  # 1 where x > 0, else the slope
         gx *= g
         return (gx,)
@@ -224,18 +235,20 @@ def _horner(t2: np.ndarray, coeffs: np.ndarray, out: np.ndarray) -> None:
         out += c
 
 
-def _gelu_f32(x: np.ndarray, keep_phi: bool
+def _gelu_f32(x: np.ndarray, keep_d: bool
               ) -> tuple[np.ndarray, np.ndarray | None]:
-    """(x * Phi(x), Phi(x) or None) of float32 ``x`` with the rational erf.
+    """(x * Phi(x), the derivative or None) of float32 ``x`` with the
+    rational erf.
 
     Walks the flat array in cache-sized blocks; every pass is an in-place
-    ufunc into scratch rows, so no full-size temporary is made.  Phi is kept
-    at full size only when ``keep_phi`` (a VJP will need it).
+    ufunc into scratch rows, so no full-size temporary is made.  The
+    derivative (:func:`_gelu_slope`) is made at full size only when
+    ``keep_d`` (a VJP will need it), from each block's Phi.
     """
     flat = x.reshape(-1)
     out = np.empty_like(flat)
     t, t2, p, q = (np.empty_like(flat[:_GELU_BLOCK]) for _ in range(4))
-    phi = np.empty_like(flat) if keep_phi else None
+    d = np.empty_like(flat) if keep_d else None
     for c0 in range(0, flat.size, _GELU_BLOCK):
         c1 = min(c0 + _GELU_BLOCK, flat.size)
         xb, m = flat[c0:c1], c1 - c0
@@ -246,55 +259,50 @@ def _gelu_f32(x: np.ndarray, keep_phi: bool
         _horner(t2b, _ERF_HALF_P, pb)
         pb *= tb
         _horner(t2b, _ERF_Q, qb)
-        fb = tb if phi is None else phi[c0:c1]  # t is spent by now
-        np.divide(pb, qb, out=fb)
-        fb += 0.5
-        np.multiply(xb, fb, out=out[c0:c1])
-    return out.reshape(x.shape), None if phi is None else phi.reshape(x.shape)
+        np.divide(pb, qb, out=tb)  # t is spent by now: Phi goes there
+        tb += 0.5
+        np.multiply(xb, tb, out=out[c0:c1])
+        if d is not None:
+            _gelu_slope(xb, tb, d[c0:c1])
+    return out.reshape(x.shape), None if d is None else d.reshape(x.shape)
 
 
-def _gelu_vjp(x: np.ndarray, phi: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g * (phi + x * exp(-0.5 * x * x) * c) of ``x``, c = 1/√(2π) in x's
-    dtype.
+def _gelu_slope(x: np.ndarray, phi: np.ndarray, out: np.ndarray) -> None:
+    """out = phi + x * exp(-0.5 * x * x) * c, GELU's derivative, with
+    c = 1/√(2π) in x's dtype.
 
-    Walks the flat array in blocks, through one scratch row and then in
-    place in the output.  Each pass is one step of that expression with the
-    operand order and in-place temporaries numpy's temporary elision gives
-    it on large arrays, so the result is bitwise equal to it there, NaN
-    signs included (which NaN of two a loop returns depends on both).
-    Elsewhere only the operands of one add and one multiply are swapped,
-    which changes no finite result.
+    Each pass is one in-place step of that expression with the operand
+    order and temporaries numpy's temporary elision gives ``g * (phi + x *
+    exp(-0.5 * x * x) * c)`` on large arrays, so ``out * g`` is bitwise
+    equal to that VJP, NaN signs included (which NaN of two a loop returns
+    depends on both).
     """
-    xf, pf, gf = x.reshape(-1), phi.reshape(-1), g.reshape(-1)
-    out = np.empty_like(xf)
-    d = np.empty_like(xf[:_GELU_BLOCK])
-    for c0 in range(0, xf.size, _GELU_BLOCK):
-        c1 = min(c0 + _GELU_BLOCK, xf.size)
-        xb, db, ob = xf[c0:c1], d[:c1 - c0], out[c0:c1]
-        np.multiply(-0.5, xb, out=db)
-        db *= xb
-        np.exp(db, out=db)
-        db *= x.dtype.type(_INV_SQRT2PI)
-        np.multiply(xb, db, out=ob)
-        ob += pf[c0:c1]
-        ob *= gf[c0:c1]
-    return out.reshape(x.shape)
+    np.multiply(-0.5, x, out=out)
+    out *= x
+    np.exp(out, out=out)
+    out *= x.dtype.type(_INV_SQRT2PI)
+    np.multiply(x, out, out=out)
+    out += phi
 
 
 def gelu(a: Tensor) -> Tensor:
     """Exact-erf GELU: x * Phi(x).
 
     float32 input uses the blocked rational erf of :func:`_gelu_f32`, and
-    float64 input scipy's full-precision erf; both dtypes share the blocked
-    VJP :func:`_gelu_vjp`.
+    float64 input scipy's full-precision erf.  Under a tape the forward
+    saves only the derivative :func:`_gelu_slope`, not x or Phi, and the
+    VJP is ``d * g``.
     """
     x = a.data
+    keep_d = _tape_for(a) is not None
     if x.dtype == np.float32:
-        val, phi = _gelu_f32(x, keep_phi=_tape_for(a) is not None)
+        val, d = _gelu_f32(x, keep_d)
     else:
         phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-        val = x * phi
-    return _record((a,), Tensor(val), lambda g: (_gelu_vjp(x, phi, g),))
+        val, d = x * phi, np.empty_like(x) if keep_d else None
+        if keep_d:
+            _gelu_slope(x, phi, d)
+    return _record((a,), Tensor(val), lambda g: (d * g,))
 
 
 # -- convolution ----------------------------------------------------------
@@ -547,22 +555,21 @@ def conv2d(x: Tensor, p: ConvParams) -> Tensor:
     if x.shape[1] != p.in_ch:
         raise ValueError(
             f"input has {x.shape[1]} channels, ConvParams expects {p.in_ch}")
-    w, b = p.weight, p.bias
-    val = _corr(x.data, w.data, p.stride, p.padding, p.groups)
-    if b is not None:
-        val += b.data[None, :, None, None]
+    xd, wd = x.data, p.weight.data
+    s, pad, groups = p.stride, p.padding, p.groups
+    val = _corr(xd, wd, s, pad, groups)
+    biased = p.bias is not None
+    if biased:
+        val += p.bias.data[None, :, None, None]
     out = Tensor(val)
-    inputs = (x, w) if b is None else (x, w, b)
+    inputs = (x, p.weight, p.bias) if biased else (x, p.weight)
     need_x = _tape_for(x) is not None
 
     def vjp(g):
-        gx = _corr_transpose(g, w.data, p.stride, p.padding, x.shape[2:],
-                             p.groups) if need_x else None
-        gw = _corr_wgrad(x.data, g, w.shape[2], w.shape[3], p.stride,
-                         p.padding, p.groups)
-        if b is None:
-            return gx, gw
-        return gx, gw, g.sum(axis=(0, 2, 3))
+        gx = _corr_transpose(g, wd, s, pad, xd.shape[2:], groups) \
+            if need_x else None
+        gw = _corr_wgrad(xd, g, wd.shape[2], wd.shape[3], s, pad, groups)
+        return (gx, gw, g.sum(axis=(0, 2, 3))) if biased else (gx, gw)
 
     return _record(inputs, out, vjp)
 
@@ -589,19 +596,19 @@ def conv_transpose2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     out_hw = ((h - 1) * s - 2 * p + kh + op, (wd - 1) * s - 2 * p + kw + op)
     if min(out_hw) < 1:
         raise ValueError("transposed conv output would be empty")
-    val = _corr_transpose(x.data, weight.data, s, p, out_hw, 1)
-    if bias is not None:
+    xd, wd = x.data, weight.data
+    val = _corr_transpose(xd, wd, s, p, out_hw, 1)
+    biased = bias is not None
+    if biased:
         val += bias.data[None, :, None, None]
     out = Tensor(val)
-    inputs = (x, weight) if bias is None else (x, weight, bias)
+    inputs = (x, weight, bias) if biased else (x, weight)
     need_x = _tape_for(x) is not None
 
     def vjp(g):
-        gx = _corr(g, weight.data, s, p, 1) if need_x else None
-        gw = _corr_wgrad(g, x.data, kh, kw, s, p, 1)
-        if bias is None:
-            return gx, gw
-        return gx, gw, g.sum(axis=(0, 2, 3))
+        gx = _corr(g, wd, s, p, 1) if need_x else None
+        gw = _corr_wgrad(g, xd, kh, kw, s, p, 1)
+        return (gx, gw, g.sum(axis=(0, 2, 3))) if biased else (gx, gw)
 
     return _record(inputs, out, vjp)
 
@@ -694,17 +701,17 @@ def _pool_gather_indices(size: int, out_size: int):
     return np.minimum(idx, (ends - 1)[:, None])
 
 
-def _scatter_add(src: np.ndarray, g: np.ndarray, like: np.ndarray
-                 ) -> np.ndarray:
-    """Zeros shaped as ``like`` with each ``g`` added at flat index ``src``.
+def _scatter_add(src: np.ndarray, g: np.ndarray, shape: tuple[int, ...],
+                 dtype) -> np.ndarray:
+    """Zeros of ``shape`` with each ``g`` added at flat index ``src``.
 
     One 1-D ``np.add.at`` in C order of ``g``: a target hit more than once
     receives its adds in the order of the 4-D index form, so the sum is the
     same to the bit, many times faster.
     """
-    gx = np.zeros(like.size, like.dtype)
-    np.add.at(gx, src.reshape(-1), g.reshape(-1))
-    return gx.reshape(like.shape)
+    gx = np.zeros(shape, dtype)
+    np.add.at(gx.reshape(-1), src.reshape(-1), g.reshape(-1))
+    return gx
 
 
 def adaptive_max_pool(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
@@ -738,9 +745,10 @@ def adaptive_max_pool(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
     src_h = idx_h[np.arange(oh)[None, None, :, None], arg_h]
     # flat index into x of each window's maximum
     src = (np.arange(n * c).reshape(n, c, 1, 1) * h + src_h) * w + src_w
+    shape, dtype = x.shape, x.dtype
 
     def vjp(g):
-        return (_scatter_add(src, g, x.data),)
+        return (_scatter_add(src, g, shape, dtype),)
 
     return _record((x,), out, vjp)
 
@@ -758,11 +766,12 @@ def upsample_nearest(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
     iy = (np.arange(th) * h) // th
     ix = (np.arange(tw) * w) // tw
     out = Tensor(np.ascontiguousarray(x.data[:, :, iy][:, :, :, ix]))
+    dtype = x.dtype
 
     def vjp(g):
         src = (np.arange(n * c).reshape(n, c, 1, 1) * h
                + iy[:, None]) * w + ix
-        return (_scatter_add(src, g, x.data),)
+        return (_scatter_add(src, g, (n, c, h, w), dtype),)
 
     return _record((x,), out, vjp)
 
@@ -788,9 +797,10 @@ def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
     if not 0 <= start < stop <= c:
         raise ValueError(f"slice [{start}:{stop}] invalid for {c} channels")
     out = Tensor(np.ascontiguousarray(x.data[:, start:stop]))
+    shape, dtype = x.shape, x.dtype
 
     def vjp(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape, dtype)
         gx[:, start:stop] = g
         return (gx,)
 
@@ -827,12 +837,13 @@ def fft2_rc(x: Tensor) -> Tensor:
         raise ValueError(f"input must be NCHW, got shape {x.shape}")
     spec = fft2(x.data, axes=(2, 3))
     out = Tensor(np.concatenate([spec.real, spec.imag], axis=1))
+    dtype = x.dtype
 
     def vjp(g):
         # the adjoint of the unnormalized FFT is the inverse FFT without its
         # 1/(h*w)
         gx = ifft2(_unpack(g), axes=(2, 3), norm="forward").real
-        return (gx.astype(x.data.dtype),)
+        return (gx.astype(dtype),)
 
     return _record((x,), out, vjp)
 
@@ -842,11 +853,12 @@ def ifft2_rc(z: Tensor) -> Tensor:
     if z.ndim != 4 or z.shape[1] % 2:
         raise ValueError(f"input must be [n, 2c, h, w], got shape {z.shape}")
     out = Tensor(ifft2(_unpack(z.data), axes=(2, 3)).real)
+    dtype = z.dtype
 
     def vjp(g):
         spec = fft2(g, axes=(2, 3), norm="forward")
         gz = np.concatenate([spec.real, spec.imag], axis=1)
-        return (gz.astype(z.data.dtype, copy=False),)
+        return (gz.astype(dtype, copy=False),)
 
     return _record((z,), out, vjp)
 

@@ -7,7 +7,11 @@ each op so :func:`backward` can replay the trace once, in reverse, and
 accumulate vector-Jacobian products down to the leaves.  A tape names the
 leaves it differentiates, ``Tape(wrt=params)``, and records only the ops
 that a requested leaf reaches, as in requires-grad propagation (Paszke et
-al., NIPS-W 2017).  Image tensors are NCHW; reductions produce 0-d scalars.
+al., NIPS-W 2017).  A recorded node names its inputs and output by integer
+keys, not tensors, and each VJP closure holds only the arrays it reads
+(GELU saves its derivative, not its input), so the tape keeps no
+activation that backward does not read.  Image tensors are NCHW;
+reductions produce 0-d scalars.
 """
 from __future__ import annotations
 
@@ -27,13 +31,16 @@ class Tensor:
     float32/float64 payloads are allowed; anything else is cast to float32.
     """
 
-    __slots__ = ("data", "__weakref__")
+    # ``_key``/``_token``: the key a tape handed out when it recorded the op
+    # that made this tensor, and that tape's token (None off any tape).
+    __slots__ = ("data", "_key", "_token", "__weakref__")
 
     def __init__(self, data, dtype=None):
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in FLOAT_DTYPES:
             arr = arr.astype(np.float32)
         self.data = arr
+        self._token = None
 
     # -- views ------------------------------------------------------------
 
@@ -64,15 +71,17 @@ class Tensor:
 
 
 class Node:
-    """One recorded op: its input tensors and a VJP callback.
+    """One recorded op: the keys of its inputs and output, and a VJP.
 
-    ``vjp(g)`` receives the gradient w.r.t. the op output (an ndarray) and
-    returns one ndarray (or None) per input.
+    ``inputs`` holds one key per input (None for an input that needs no
+    gradient) and ``out`` the output's key.  ``vjp(g)`` receives the
+    gradient w.r.t. the op output (an ndarray) and returns one ndarray (or
+    None) per input.
     """
 
     __slots__ = ("inputs", "out", "vjp")
 
-    def __init__(self, inputs: tuple[Tensor, ...], out: Tensor,
+    def __init__(self, inputs: tuple[int | None, ...], out: int,
                  vjp: Callable[[np.ndarray], tuple]):
         self.inputs = inputs
         self.out = out
@@ -89,8 +98,16 @@ class Tape:
     tracks which tensors need a gradient: the requested leaves, plus every
     output of an op with at least one such input.  Ops whose inputs need
     none are not recorded, and an op may skip the VJP of an input that
-    needs none (the convolutions skip their input gradient).  The tape
-    holds each requested leaf, so the ids it tracks stay valid.
+    needs none (the convolutions skip their input gradient).
+
+    Each such tensor has an integer key.  Leaf ``k`` of ``wrt`` has key k,
+    found by id; the tape holds its leaves, so those ids stay valid.  A
+    recorded output gets the next key, stored on the tensor beside this
+    tape's token, so a tensor made off the tape, or a later one that reuses
+    a freed output's id, never matches.  Nodes hold keys, never tensors,
+    and each VJP closure only the arrays it reads (GELU's is its saved
+    derivative), so an activation no VJP reads is freed when the caller
+    drops it.
 
     A tape is single-owner: it must be used from the thread that opened it.
     Each thread records on at most one tape at a time, so entering a second
@@ -101,7 +118,9 @@ class Tape:
     def __init__(self, wrt: Iterable[Tensor]):
         self.nodes: list[Node] = []
         self.wrt = tuple(wrt)
-        self._needs = {id(t) for t in self.wrt}
+        self._leaves = {id(t): k for k, t in enumerate(self.wrt)}
+        self._token = object()
+        self._next_key = len(self.wrt)
         self._entered = False
         self._used = False
 
@@ -117,16 +136,25 @@ class Tape:
     def __exit__(self, *exc) -> None:
         _ACTIVE.tape = None
 
+    def _key_of(self, tensor: Tensor) -> int | None:
+        """``tensor``'s key on this tape, or None if it needs no gradient."""
+        if tensor._token is self._token:
+            return tensor._key
+        return self._leaves.get(id(tensor))
+
     def needs_grad(self, tensor: Tensor) -> bool:
         """Whether a gradient of ``tensor`` is wanted on this tape."""
-        return id(tensor) in self._needs
+        return self._key_of(tensor) is not None
 
     def record(self, inputs: tuple[Tensor, ...], out: Tensor,
                vjp: Callable[[np.ndarray], tuple]) -> None:
         """Append one op; its output needs a gradient from now on.  Callers
-        record only ops with an input that :meth:`needs_grad`."""
-        self._needs.add(id(out))
-        self.nodes.append(Node(inputs, out, vjp))
+        record only ops with an input that :meth:`needs_grad`, and ``vjp``
+        should hold only the arrays it reads: the node keeps no tensor."""
+        out._key, out._token = self._next_key, self._token
+        self._next_key += 1
+        self.nodes.append(Node(tuple(map(self._key_of, inputs)), out._key,
+                               vjp))
 
 
 def active_tape() -> Tape | None:
@@ -139,11 +167,11 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     Returns each requested leaf (``tape.wrt``) the loss reaches mapped to
     its gradient, an ndarray of the leaf's shape and dtype; fan-out
     accumulates by summation, and no gradient of a tensor that needs none
-    is kept.  The walk consumes the tape, popping each node once its VJP
-    has run and dropping each gradient once passed on, so forward arrays
-    are freed as it goes.  Raises ValueError for a used tape, a non-scalar
-    loss or one that needs no gradient on the tape (made off it, or
-    reached by no requested leaf).
+    is kept.  The walk runs on keys and consumes the tape, popping each
+    node once its VJP has run and dropping each gradient once passed on,
+    so the arrays VJP closures saved are freed as it goes.  Raises
+    ValueError for a used tape, a non-scalar loss or one that needs no
+    gradient on the tape (made off it, or reached by no requested leaf).
     """
     if tape._used:
         raise ValueError("tape was already used by backward; record anew")
@@ -153,22 +181,19 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
         raise ValueError("loss tensor was not produced on this tape")
     tape._used = True
 
-    # id() keys stay safe while nodes are freed: every tensor with a pending
-    # gradient is held by an unpopped node (its producer) or by ``tape.wrt``,
-    # and the tape's "needs gradient" ids were taken while every tensor on
-    # the tape was alive; the walk makes no new tensors.
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    grads: dict[int, np.ndarray] = {
+        tape._key_of(loss): np.ones_like(loss.data)}
     nodes = tape.nodes
     while nodes:
         node = nodes.pop()
-        g = grads.pop(id(node.out), None)
+        g = grads.pop(node.out, None)
         if g is None:
             continue
-        for tensor, ig in zip(node.inputs, node.vjp(g)):
-            if ig is None or not tape.needs_grad(tensor):
+        for key, ig in zip(node.inputs, node.vjp(g)):
+            if ig is None or key is None:
                 continue
-            key = id(tensor)
             prev = grads.get(key)
             grads[key] = ig if prev is None else prev + ig
-    return {t: grads[id(t)].astype(t.data.dtype, copy=False)
-            for t in tape.wrt if id(t) in grads}
+    leaves = tape._leaves
+    return {t: grads[leaves[id(t)]].astype(t.data.dtype, copy=False)
+            for t in tape.wrt if leaves[id(t)] in grads}

@@ -94,13 +94,17 @@ def tensor_to_frame(t: Tensor, layout: str) -> FrameBuffer:
     raise ValueError(f"unknown layout {layout!r}")
 
 
-def run_sequence(model, frames: Iterable[FrameBuffer]
-                 ) -> Iterator[FrameBuffer]:
-    """Lazily upscale a stream of frames (memory stays O(one frame))."""
+def run_sequence(model, frames: Iterable[FrameBuffer],
+                 layout: str | None = None) -> Iterator[FrameBuffer]:
+    """Lazily upscale a stream of frames (memory stays O(one frame)).
+
+    Each output is encoded in ``layout``, or in its input frame's layout
+    when that is None.
+    """
     for frame in frames:
         x = frame_to_tensor(frame)
         y = model(x)
-        yield tensor_to_frame(y, frame.layout)
+        yield tensor_to_frame(y, layout or frame.layout)
 
 
 # -- runtime ----------------------------------------------------------------

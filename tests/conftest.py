@@ -20,6 +20,23 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+@pytest.fixture
+def recorded(monkeypatch):
+    """Each op the tape records, in tape order, as ((shape, dtype) of each
+    input, (shape, dtype) of the output).  Nodes hold keys, not tensors, so
+    a test that checks an op's tensors reads them at record time."""
+    seen = []
+    record = Tape.record
+
+    def spy(tape, inputs, out, vjp):
+        seen.append(([(t.shape, t.dtype) for t in inputs],
+                     (out.shape, out.dtype)))
+        return record(tape, inputs, out, vjp)
+
+    monkeypatch.setattr(Tape, "record", spy)
+    return seen
+
+
 def autograd_inputs(fn, arrays):
     """Gradients of scalar fn(*tensors) wrt each input array (float64)."""
     tensors = [Tensor(np.asarray(a, dtype=np.float64)) for a in arrays]

@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from odsr import cli, media, trainer
+from odsr import cli, harness, media, trainer
 from odsr.engine.tensor import Tensor
 from odsr.models import checkpoint
 
@@ -330,9 +330,15 @@ class TestRunAndMetrics:
                                  "--out", str(tmp_path / out))
             assert code == 0
             outs[out] = media.load_sequence(tmp_path / out).frames
-        # the directory holds the 4:2:0 frames converted to RGB
+        # the directory holds the network's RGB output, rounded once; the
+        # Y4M holds the same RGB frames encoded to 4:2:0
+        model = harness.make_model("bicubic", 2, None, seed=0)
+        lr = media.load_sequence(clip).frames
+        rgb = list(harness.run_sequence(model, lr, "rgb8"))
         assert [f.layout for f in outs["up"]] == ["rgb8", "rgb8"]
-        assert outs["up"] == [media.yuv420_to_rgb(f) for f in outs["up.y4m"]]
+        assert outs["up"] == rgb
+        assert outs["up.y4m"] == [media.rgb_to_yuv420(f) for f in rgb]
+        assert outs["up"] != [media.yuv420_to_rgb(f) for f in outs["up.y4m"]]
 
     def test_metrics_identical_sequences(self, capsys, tmp_path):
         src = tmp_path / "ref"

@@ -1,4 +1,7 @@
 """Finite-difference validation of every differentiable op and full nets."""
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from conftest import check_gradients, numeric_grad, rel_err
 
 from odsr.engine import ops
 from odsr.engine.tensor import Tape, Tensor, backward
-from odsr.models import builders
+from odsr.models import blocks, builders
 from odsr.models.networks import Network
 
 
@@ -219,6 +222,129 @@ class TestGradientRequest:
         assert set(part) == set(net.params.values())
         for pname, t in net.params.items():
             assert part[t].tobytes() == full[t].tobytes(), pname
+
+
+class TestTapeKeys:
+    """Nodes name tensors by keys the tape hands out, never by ``id()``."""
+
+    def test_reused_id_of_freed_output_is_not_on_the_tape(self):
+        x = Tensor(rnd(3, 4, seed=60))
+        with Tape(wrt=[x]) as tape:
+            y = ops.square(x)
+            freed = id(y)
+            del y  # its node keeps only x: the id is free for reuse
+            arr = rnd(3, 4, seed=61)
+            made = [Tensor(arr)]
+            while id(made[-1]) != freed and len(made) < 10_000:
+                made.append(Tensor(arr))
+            off = made[-1]
+            assert id(off) == freed
+            assert not tape.needs_grad(off)
+            loss = ops.tsum(ops.mul(off, x))
+        grads = backward(tape, loss)
+        assert list(grads) == [x]
+        # had ``off`` been taken for y, square's VJP would add 2x·x
+        assert grads[x].tobytes() == arr.tobytes()
+
+    def test_output_of_one_tape_is_a_leaf_on_the_next(self):
+        x = Tensor(rnd(3, 4, seed=62))
+        with Tape(wrt=[x]) as first:
+            y = ops.tsum(ops.square(x))
+        with Tape(wrt=[y]) as second:
+            z = ops.mul(y, 3.0)
+        assert second.needs_grad(y) and second._key_of(y) == 0
+        assert backward(second, z) == {y: 3.0}
+        np.testing.assert_array_equal(backward(first, y)[x], 2.0 * x.data)
+
+    def test_fan_out_sums_both_vjps(self):
+        x = Tensor(rnd(3, 4, seed=63))
+        with Tape(wrt=[x]) as tape:
+            y = ops.exp(x)
+            loss = ops.tsum(ops.mul(ops.mul(x, x), y))
+        g = backward(tape, loss)[x]
+        # d/dx x²eˣ = 2x·eˣ + x²·eˣ, from both sides of each mul
+        np.testing.assert_allclose(g, (2 * x.data + x.data ** 2)
+                                   * np.exp(x.data), rtol=1e-12)
+        with Tape(wrt=[x]) as tape:
+            loss = ops.tsum(ops.mul(x, x))
+        assert backward(tape, loss)[x].tobytes() == (2 * x.data).tobytes()
+
+
+class TestTapeKeepsOnlyWhatVjpsRead:
+    """The tape holds no tensor, and each VJP closure only what it reads."""
+
+    @staticmethod
+    def chain(x, w):
+        """conv -> residual add -> upsample -> fft -> ifft -> GELU -> sum,
+        with every intermediate returned."""
+        conv = ops.conv2d(x, ops.ConvParams(w, None, 1, 1))
+        res = ops.add(conv, x)
+        up = ops.upsample_nearest(res, (8, 10))
+        inv = ops.ifft2_rc(ops.fft2_rc(up))
+        return conv, res, up, inv, ops.tsum(ops.gelu(inv))
+
+    def test_dropped_arrays_die_under_the_tape(self):
+        x = Tensor(rnd(2, 3, 4, 5, seed=64).astype(np.float32))
+        w = Tensor(rnd(3, 3, 3, 3, seed=65).astype(np.float32))
+        with Tape(wrt=[w]) as tape:
+            conv, res, up, inv, loss = self.chain(x, w)
+        assert inv.data.base.dtype == np.complex64  # a view of the buffer
+        refs = {name: weakref.ref(a) for name, a in (
+            ("conv output", conv.data), ("add output", res.data),
+            ("upsample output", up.data), ("ifft buffer", inv.data.base),
+            ("GELU input", inv.data))}
+        del conv, res, up, inv
+        alive = [name for name, ref in refs.items() if ref() is not None]
+        assert alive == []
+        got = backward(tape, loss)[w]
+        with Tape(wrt=[w]) as tape:
+            *kept, loss = self.chain(x, w)
+        assert got.tobytes() == backward(tape, loss)[w].tobytes()
+
+    def test_ffcir_block_pair_keeps_what_its_vjps_read(self):
+        n, c, h, w = 2, 36, 16, 16
+        f32, idx = 4, np.dtype(np.intp).itemsize
+        plane = n * c * h * w * f32  # one c-channel float32 map
+        g = c // 4  # channels per Safm level
+        pooled = sum(n * g * (h >> i) * (w >> i) for i in (1, 2, 3))
+        saved = (
+            # Safm: the level-0 depthwise conv's input, each pooled level's
+            # argmax index and conv input, the 1x1 aggregation's input,
+            # GELU's derivative and the GELU output the gate multiplies
+            n * g * h * w * f32 + pooled * (idx + f32) + 3 * plane
+            # Ffc: the 2c-channel spectrum (the 1x1 conv's input) and
+            # GELU's derivative
+            + 2 * 2 * plane
+            # the 2c-channel concat the fusing 1x1 conv reads
+            + 2 * plane
+            # Ccm: the expand conv's input, then GELU's derivative and its
+            # output (the project conv's input) at 2c channels
+            + plane + 2 * 2 * plane
+            # the pair's output, held by the caller
+            + plane)
+        # nodes, closures, key tuples and the upsample index vectors: less
+        # than one c-channel map, so a closure that keeps any map alive fails
+        slack = 48 * 1024
+        spec = builders.build("ffcir", 2)
+        params = Network.init(spec, seed=0).params
+        pair = spec.layers[2].body[:2]
+        x = Tensor(rnd(n, c, h, w, seed=66).astype(np.float32))
+
+        def forward():
+            with Tape(wrt=[x, *params.values()]) as tape:
+                out = blocks.run_layers(pair, x, params, "net.2")
+            return tape, out
+
+        forward()  # first-call caches (FFT plans) stay out of the count
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tape, out = forward()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n, c, h, w) and len(tape.nodes) > 20
+        assert kept <= saved + slack, (kept, saved)
 
 
 class TestShapeGrads:

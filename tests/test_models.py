@@ -245,7 +245,7 @@ class TestFlops:
 
 class TestFloat32Audit:
     @pytest.mark.parametrize("name", sorted(builders.BUILDERS))
-    def test_forward_and_backward_stay_float32(self, name):
+    def test_forward_and_backward_stay_float32(self, name, recorded):
         """Every tape node's output and every VJP gradient is float32."""
         spec = builders.build(name, 2)
         net = networks.Network.init(spec, seed=0)
@@ -266,12 +266,13 @@ class TestFloat32Audit:
                 return out
             return wrapped
 
+        assert len(recorded) == len(tape.nodes)
+        for _, (_, out_dtype) in recorded:
+            assert out_dtype == np.float32
         for node in tape.nodes:
-            assert node.out.dtype == np.float32
             node.vjp = spying(node.vjp)
-        recorded = len(tape.nodes)
         backward(tape, loss)
-        assert len(grads) > recorded
+        assert len(grads) > len(recorded)
         assert not tape.nodes
         dtypes = {a.dtype for a in grads if a is not None}
         assert dtypes == {np.dtype(np.float32)}
