@@ -765,7 +765,11 @@ def upsample_nearest(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
         raise ValueError(f"target size {th}x{tw} must be positive")
     iy = (np.arange(th) * h) // th
     ix = (np.arange(tw) * w) // tw
-    out = Tensor(np.ascontiguousarray(x.data[:, :, iy][:, :, :, ix]))
+    # both indices ascend, so each source row and column repeats as often
+    # as it is read (zero times when the target is smaller)
+    out = Tensor(np.repeat(np.repeat(x.data, np.bincount(iy, minlength=h),
+                                     axis=2),
+                           np.bincount(ix, minlength=w), axis=3))
     dtype = x.dtype
 
     def vjp(g):

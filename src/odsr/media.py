@@ -373,25 +373,34 @@ def rgb_to_y(rgb: np.ndarray) -> np.ndarray:
     return round_u8(16.0 + 219.0 * lum / 255.0)
 
 
-# float64 elements of one rgb_to_yuv420 row block's four planes (2 MiB)
+# float64 elements of one colour-conversion row block's four planes (2 MiB)
 _BLOCK = 1 << 18
 
 
-def _yuv_rows(width: int) -> int:
-    """Rows of one rgb_to_yuv420 block: even, four planes in ``_BLOCK``."""
+def block_rows(width: int) -> int:
+    """Rows of one colour-conversion block: even, four planes in
+    ``_BLOCK``."""
     return max(2, _BLOCK // (4 * width) // 2 * 2)
 
 
 def rgb_to_yuv420(frame: FrameBuffer) -> FrameBuffer:
-    """Convert rgb8 to limited-range BT.709 4:2:0 (2x2 chroma averaging).
+    """Convert rgb8 to limited-range BT.709 4:2:0 (2x2 chroma averaging)."""
+    rgb = frame.rgb()
+    return encode_yuv420(frame.width, frame.height,
+                         lambda i, k: rgb[i:i + k].transpose(2, 0, 1))
 
-    Walks blocks of an even number of rows, sized to stay in cache, and
+
+def encode_yuv420(width: int, height: int, rgb_rows) -> FrameBuffer:
+    """Limited-range BT.709 4:2:0 from the r, g, b planes that
+    ``rgb_rows(i, k)`` gives for rows ``i`` to ``i + k``, as one (3, k,
+    width) array of integers in [0, 255].
+
+    Walks blocks of ``block_rows`` rows, sized to stay in cache, and
     writes Y, U and V straight into one preallocated payload. Each block
     runs the same in-place steps the whole frame once did, so the bytes
     equal the out-of-place reference in ``tests/eval_oracle.py``.
     """
-    rgb = frame.rgb()
-    w, h = frame.width, frame.height
+    w, h = width, height
     if w % 2 or h % 2:
         raise ValueError(f"yuv420 needs even dims, got {w}x{h}")
     n, c = w * h, w * h // 4
@@ -399,14 +408,13 @@ def rgb_to_yuv420(frame: FrameBuffer) -> FrameBuffer:
     y = payload[:n].reshape(h, w)
     u = payload[n:n + c].reshape(h // 2, w // 2)
     v = payload[n + c:].reshape(h // 2, w // 2)
-    rows = min(h, _yuv_rows(w))
+    rows = min(h, block_rows(w))
     planes = np.empty((4, rows, w))
     quarter = np.empty((rows // 2, w // 2))
     for i in range(0, h, rows):
         k = min(rows, h - i)
         r, g, b, lum = planes[:, :k]
-        for ch, p in enumerate((r, g, b)):
-            np.copyto(p, rgb[i:i + k, :, ch])
+        np.copyto(planes[:3, :k], rgb_rows(i, k))
         # in place, in the order of lum = KR r + KG g + KB b, pb = (b - lum)
         # / (2 (1 - KB)), pr alike, and y, u, v = offset + span * (...) / 255
         np.multiply(r, _KR, out=lum)
@@ -434,14 +442,40 @@ def rgb_to_yuv420(frame: FrameBuffer) -> FrameBuffer:
 
 
 def yuv420_to_rgb(frame: FrameBuffer) -> FrameBuffer:
-    """Convert 4:2:0 to rgb8 (nearest chroma upsampling)."""
+    """Convert 4:2:0 to rgb8 (nearest chroma upsampling).
+
+    Walks blocks of ``block_rows`` rows, as ``encode_yuv420`` does, in the
+    operand order of the reference in ``tests/eval_oracle.py``.
+    """
     y, u, v = frame.yuv_planes()
-    yf = (y.astype(np.float64) - 16.0) * (255.0 / 219.0)
-    # r = yf + 2 (1 - KR) vf and b = yf + 2 (1 - KB) uf, with the chroma
-    # products taken at quarter size, before the nearest upsampling
-    r, b = (((c.astype(np.float64) - 128.0) * (255.0 / 224.0)
-             * (2.0 * (1.0 - k))).repeat(2, axis=0).repeat(2, axis=1) + yf
-            for c, k in ((v, _KR), (u, _KB)))
-    g = (yf - _KR * r - _KB * b) / _KG
-    return FrameBuffer.from_rgb(np.stack(
-        [round_u8(r), round_u8(g), round_u8(b)], axis=-1))
+    w, h = frame.width, frame.height
+    rgb = np.empty((h, w, 3), np.uint8)
+    rows = min(h, block_rows(w))
+    planes = np.empty((4, rows, w))
+    quarter = np.empty((rows // 2, w // 2))
+    for i in range(0, h, rows):
+        k = min(rows, h - i)
+        yf, r, g, b = planes[:, :k]
+        np.copyto(yf, y[i:i + k])
+        yf -= 16.0
+        yf *= 255.0 / 219.0
+        # r = vf (2 (1 - KR)) + yf and b = uf (2 (1 - KB)) + yf, with the
+        # chroma products taken at quarter size, then added to each of the
+        # 2x2 pixels they cover
+        q = quarter[:k // 2]
+        for c, kc, dst in ((v, _KR, r), (u, _KB, b)):
+            np.copyto(q, c[i // 2:(i + k) // 2])
+            q -= 128.0
+            q *= 255.0 / 224.0
+            q *= 2.0 * (1.0 - kc)
+            pairs = (k // 2, 2, w // 2, 2)
+            np.add(q[:, None, :, None], yf.reshape(pairs),
+                   out=dst.reshape(pairs))
+        # g = (yf - KR r - KB b) / KG
+        np.multiply(r, _KR, out=g)
+        np.subtract(yf, g, out=g)
+        g -= np.multiply(b, _KB, out=yf)
+        g /= _KG
+        for ch, p in enumerate((r, g, b)):
+            rgb[i:i + k, :, ch] = round_u8(p)
+    return FrameBuffer("rgb8", w, h, rgb.tobytes())

@@ -1,13 +1,15 @@
-"""Out-of-place reference expressions for the MSEs, the SSIM map and the
-BT.709 colour conversions: the references for ``metrics.ws_mse``,
-``metrics.mse``, ``metrics.ssim_map``, ``media.rgb_to_yuv420`` and
-``media.yuv420_to_rgb``, which run the same steps in place and must agree
-bit for bit.
+"""Out-of-place reference expressions for the MSEs, the SSIM map, the
+BT.709 colour conversions and the frame/tensor conversions: the references
+for ``metrics.ws_mse``, ``metrics.mse``, ``metrics.ssim_map``,
+``media.rgb_to_yuv420``, ``media.yuv420_to_rgb``,
+``harness.frame_to_tensor`` and ``harness.tensor_to_frame``, which run the
+same steps in place or in row blocks and must agree bit for bit.
 """
 import numpy as np
 from scipy.ndimage import correlate1d
 
 from odsr import media, metrics
+from odsr.engine.tensor import Tensor
 
 _KR, _KG, _KB = 0.2126, 0.7152, 0.0722
 _R = metrics._RADIUS
@@ -85,3 +87,23 @@ def yuv420_to_rgb(frame: media.FrameBuffer) -> media.FrameBuffer:
     g = (yf - _KR * r - _KB * b) / _KG
     return media.FrameBuffer.from_rgb(np.stack(
         [_round_u8(r), _round_u8(g), _round_u8(b)], axis=-1))
+
+
+def frame_to_tensor(frame: media.FrameBuffer) -> Tensor:
+    if frame.layout == "yuv420":
+        frame = yuv420_to_rgb(frame)
+    if frame.layout == "rgb8":
+        arr = frame.rgb()
+    else:
+        arr = np.repeat(frame.y()[:, :, None], 3, axis=2)
+    chw = arr.astype(np.float32).transpose(2, 0, 1) / np.float32(255.0)
+    return Tensor(chw[None])
+
+
+def tensor_to_frame(t: Tensor, layout: str) -> media.FrameBuffer:
+    arr = t.data[0].transpose(1, 2, 0)
+    if layout == "rgb8":
+        return media.FrameBuffer.from_rgb(_round_u8(arr * 255.0))
+    if layout == "yuv420":
+        return rgb_to_yuv420(_round_u8(arr * 255.0))
+    return media.FrameBuffer.from_y(_round_u8(arr.mean(axis=2) * 255.0))

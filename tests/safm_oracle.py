@@ -6,7 +6,8 @@ The engine (``odsr.engine.ops``) scatter-adds the gradients of
 index.  These are the forms it replaced: one ``np.add.at`` with a
 broadcast (image, channel, row, column) index array per axis.  Both walk
 the gradient in C order, so a source hit more than once gets its adds in
-the same order, and the results must agree bit for bit.
+the same order, and the results must agree bit for bit.  The double fancy
+index of ``upsample_nearest`` is kept as the forward's reference.
 """
 import numpy as np
 
@@ -15,6 +16,15 @@ def _image_channel(shape):
     n, c = shape[:2]
     return (np.broadcast_to(np.arange(n)[:, None, None, None], shape),
             np.broadcast_to(np.arange(c)[None, :, None, None], shape))
+
+
+def upsample_nearest(x: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
+    """out(y, x) = in(y*h//th, x*w//tw), as one fancy index per axis."""
+    h, w = x.shape[2:]
+    th, tw = out_hw
+    iy = (np.arange(th) * h) // th
+    ix = (np.arange(tw) * w) // tw
+    return np.ascontiguousarray(x[:, :, iy][:, :, :, ix])
 
 
 def upsample_nearest_vjp(g: np.ndarray, in_hw: tuple[int, int]

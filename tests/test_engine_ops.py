@@ -619,6 +619,18 @@ class TestSafmAdjoints:
         assert gx.dtype == np.float32 and gx.shape == x.shape
         assert gx.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
 
+    @settings(max_examples=150, deadline=None)
+    @given(safm_plane([0.0, -0.0, 1.0, -2.5, np.nan, np.inf]),
+           st.integers(1, 41), st.integers(1, 41))
+    def test_upsample_nearest_forward_matches_fancy_index(self, x, th, tw):
+        # the per-index repeat counts copy the same values, from targets
+        # smaller than the source (zero counts) to non-divisible ones
+        got = ops.upsample_nearest(Tensor(x), (th, tw)).data
+        want = safm_oracle.upsample_nearest(x, (th, tw))
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.shape == want.shape
+        assert got.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
+
     def test_upsample_nearest_skipped_sources_stay_zero(self):
         x = rnd(2, 3, 9, 7, seed=30, dtype=np.float32)
         gx, g = recorded_vjp(ops.upsample_nearest, x, (4, 3))

@@ -1,15 +1,19 @@
 """The eval path against its out-of-place references: polyphase integer
-upscales against the dense matrix product, and the in-place MSEs, SSIM map
-and colour conversions against their original expressions, bit for bit."""
+upscales against the dense matrix product, the row-blocked upscale against
+whole-stack passes, and the in-place MSEs, SSIM map, colour and frame/tensor
+conversions against their original expressions, bit for bit."""
 import statistics
 import tracemalloc
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import eval_oracle
 import resample_oracle
 from odsr import harness, media, metrics
+from odsr.engine.tensor import Tensor
 from odsr.models import resample
 
 CASES = settings(max_examples=200, deadline=None)
@@ -54,6 +58,82 @@ class TestPolyphaseUpscale:
         np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
+def _unit_floats(shape, seed, dtype=np.float32):
+    """Values in [-0.1, 1.1]: the clip and the rounding see both edges."""
+    rng = np.random.default_rng(seed)
+    return (rng.random(shape) * 1.2 - 0.1).astype(dtype)
+
+
+def _assert_blocked_matches_whole(x, out_hw, kernel):
+    """float64 output and a float32 ``out`` against whole-stack passes."""
+    want = resample_oracle.polyphase_resize_plane(x, out_hw, kernel)
+    got = resample.resize_plane(x, out_hw, kernel)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+    out = np.empty(want.shape, np.float32)
+    assert resample.resize_plane(x, out_hw, kernel, out=out) is out
+    np.testing.assert_array_equal(out.view(np.int32),
+                                  want.astype(np.float32).view(np.int32))
+
+
+class TestBlockedUpscale:
+    """An integer row upscale runs one block of input rows at a time; every
+    block must equal the same rows of one whole-stack pass."""
+
+    @CASES
+    @given(h=st.integers(1, 40), w=st.integers(1, 12),
+           sh=st.integers(1, 4), sw=st.integers(1, 4), kernel=KERNELS,
+           lead=st.sampled_from([(), (2,), (2, 3)]),
+           block=st.integers(1, 600), seed=st.integers(0, 2 ** 32 - 1))
+    def test_any_block_size_matches_whole_stack(self, h, w, sh, sw, kernel,
+                                                lead, block, seed):
+        # small blocks give blocks of one row up to the whole height, with
+        # partial last blocks and inputs shorter than the halo
+        x = _unit_floats(lead + (h, w), seed)
+        with mock.patch.object(resample, "_BLOCK", block):
+            _assert_blocked_matches_whole(x, (h * sh, w * sw), kernel)
+
+    @pytest.mark.parametrize("kernel", ["cubic", "lanczos4"])
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_several_blocks_and_a_partial_last_one(self, kernel, s):
+        w = 100
+        step = resample._BLOCK // (2 * 3 * s * w)
+        h = 2 * step + 7
+        x = _unit_floats((2, 3, h, w), 17 + s)
+        _assert_blocked_matches_whole(x, (h * s, w * s), kernel)
+
+    @pytest.mark.parametrize("kernel", ["cubic", "lanczos4"])
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_inputs_shorter_than_the_halo(self, kernel, h):
+        x = _unit_floats((2, 3, h, 5), h)
+        for s in (1, 2, 3, 4):
+            _assert_blocked_matches_whole(x, (h * s, 5 * s), kernel)
+
+    def test_dense_columns_and_rows_stay_whole_stack(self):
+        # a row upscale with dense columns, and dense rows with a column
+        # upscale, match the whole-stack passes bit for bit
+        x = _unit_floats((2, 3, 20, 30), 21)
+        for out_hw in ((40, 45), (30, 60), (10, 90)):
+            _assert_blocked_matches_whole(x, out_hw, "lanczos4")
+
+    def test_out_shape_is_checked(self):
+        with pytest.raises(ValueError, match="out has shape"):
+            resample.resize_plane(np.zeros((4, 4)), (8, 8),
+                                  out=np.empty((8, 9)))
+
+    @pytest.mark.parametrize("name", ["bicubic", "lanczos4"])
+    def test_baseline_model_matches_whole_stack(self, name):
+        # odd sizes, a batch of 2 and values the clip cuts, at x3
+        x = _unit_floats((2, 3, 37, 53), 3)
+        got = harness.make_model(name, 3)(Tensor(x)).data
+        want = np.clip(resample_oracle.polyphase_resize_plane(
+            x, (111, 159), harness._BASELINES[name]).astype(np.float32),
+            0.0, 1.0)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got.view(np.int32),
+                                      want.view(np.int32))
+
+
 _U8_FRAME = st.tuples(st.integers(1, 24), st.integers(1, 24),
                       st.integers(0, 2 ** 32 - 1))
 
@@ -92,13 +172,55 @@ class TestColourInPlace:
 
     def test_partial_last_block_bitwise(self):
         # two whole row blocks, then one of three row pairs
-        rows = media._yuv_rows(1920)
+        rows = media.block_rows(1920)
         h = 2 * rows + 6
         assert rows % 2 == 0 and h % rows == 6
         rgb = np.random.default_rng(12).integers(
             0, 256, (h, 1920, 3), dtype=np.uint8)
         got = media.rgb_to_yuv420(media.FrameBuffer.from_rgb(rgb))
         assert got.payload == eval_oracle.rgb_to_yuv420(rgb).payload
+
+    def test_decode_partial_last_block_bitwise(self):
+        rows = media.block_rows(1920)
+        h = 2 * rows + 6
+        payload = np.random.default_rng(13).integers(
+            0, 256, h * 1920 * 3 // 2, dtype=np.uint8).tobytes()
+        yuv = media.FrameBuffer("yuv420", 1920, h, payload)
+        assert media.yuv420_to_rgb(yuv).payload == \
+            eval_oracle.yuv420_to_rgb(yuv).payload
+
+
+class TestFrameTensorConversions:
+    @CASES
+    @given(frame=_U8_FRAME, layout=st.sampled_from(["yuv420", "rgb8", "y8"]))
+    def test_frame_to_tensor_bitwise(self, frame, layout):
+        rgb = _rgb(*frame)
+        f = media.FrameBuffer.from_rgb(rgb)
+        if layout == "yuv420":
+            f = media.rgb_to_yuv420(f)
+        elif layout == "y8":
+            f = media.FrameBuffer.from_y(rgb[..., 1])
+        got = harness.frame_to_tensor(f).data
+        want = eval_oracle.frame_to_tensor(f).data
+        assert got.dtype == want.dtype and got.strides == want.strides
+        np.testing.assert_array_equal(got.view(np.int32),
+                                      want.view(np.int32))
+
+    @CASES
+    @given(frame=_U8_FRAME, layout=st.sampled_from(["yuv420", "rgb8", "y8"]),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    def test_tensor_to_frame_bitwise(self, frame, layout, dtype):
+        hh, hw, seed = frame
+        t = Tensor(_unit_floats((1, 3, 2 * hh, 2 * hw), seed, dtype))
+        assert harness.tensor_to_frame(t, layout) == \
+            eval_oracle.tensor_to_frame(t, layout)
+
+    @pytest.mark.parametrize("layout", ["yuv420", "rgb8", "y8"])
+    def test_tensor_to_frame_partial_last_block_bitwise(self, layout):
+        h = 2 * media.block_rows(1920) + 6
+        t = Tensor(_unit_floats((1, 3, h, 1920), 19))
+        assert harness.tensor_to_frame(t, layout) == \
+            eval_oracle.tensor_to_frame(t, layout)
 
 
 _DTYPES = st.sampled_from([np.uint8, np.float32, np.float64])

@@ -1,6 +1,7 @@
 """Benchmark harness: timing, evaluation, leaderboard assembly."""
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +129,29 @@ class TestModels:
         assert calls == [1]
         assert (first.height, first.width) == (8, 8)
         assert len(list(gen)) == 2
+
+
+class TestRunSequenceMemory:
+    def test_baseline_frame_stays_near_its_tensors(self):
+        """A bicubic x2 upscale of one 540x960 4:2:0 frame holds its float32
+        input and output tensors and two payloads (the encoded array and
+        its bytes copy), plus 4 MiB for the row-block buffers: 2 MiB of
+        float64 planes in the encode or the resize, and their rounding and
+        chroma blocks.  Whole-frame float64 resizing peaked at 95 MB."""
+        rgb = np.random.default_rng(5).integers(
+            0, 256, (540, 960, 3), dtype=np.uint8)
+        frame = media.rgb_to_yuv420(media.FrameBuffer.from_rgb(rgb))
+        model = harness.make_model("bicubic", 2)
+        tensors = 4 * 3 * (540 * 960 + 1080 * 1920)
+        payloads = 2 * 1080 * 1920 * 3 // 2
+        tracemalloc.start()
+        try:
+            out = list(harness.run_sequence(model, [frame]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (out[0].width, out[0].height) == (1920, 1080)
+        assert peak < tensors + payloads + 4 * 2 ** 20
 
 
 class TestEvaluatePair:
