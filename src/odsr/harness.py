@@ -11,16 +11,15 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from . import metrics as qm
+from . import parallel
 from .engine.tensor import Tensor
 # rgb_to_yuv420 stays importable here: perfbench/spans.py times the
 # colour conversions under their names in this module
@@ -124,8 +123,9 @@ def run_sequence(model, frames: Iterable[FrameBuffer],
     Each output is encoded in ``layout``, or in its input frame's layout
     when that is None.  For a baseline model, a frame holds at its peak the
     float32 input and output tensors, the output payload and its bytes
-    copy, and about 2 MB of row-block buffers: for a 540x960 4:2:0 frame
-    at x2, 31.1 MB of tensors and 6.2 MB of payloads, about 40 MB in all.
+    copy, and about 2 MB of row-block buffers, which the row-block workers
+    share: for a 540x960 4:2:0 frame at x2, 31.1 MB of tensors and 6.2 MB
+    of payloads, about 40 MB in all at any worker count.
     """
     for frame in frames:
         x = frame_to_tensor(frame)
@@ -249,9 +249,14 @@ def _pair_metrics(ref: FrameBuffer, test: FrameBuffer,
 
 def evaluate_pair(ref_frames, test_frames, plane: str = "y"
                   ) -> MetricReport:
-    """Frame-aligned metrics between a reference and a test sequence,
-    scored on ``min(frames, CPUs)`` threads (serially when that is one);
-    a frame's values do not depend on the thread that scores it."""
+    """Frame-aligned metrics between a reference and a test sequence.
+
+    The frames are scored in contiguous spans, one per worker
+    (``parallel.over_blocks``, over the CPUs in the affinity set).  Each
+    span's SSIM maps run their row blocks on its share of the workers:
+    one frame gets them all, and as many frames as workers score each
+    on its own thread.  A frame's values do not depend on the thread or
+    the worker count."""
     refs = list(ref_frames)
     tests = list(test_frames)
     if len(refs) != len(tests):
@@ -264,14 +269,13 @@ def evaluate_pair(ref_frames, test_frames, plane: str = "y"
             raise ValueError(
                 f"frame {i} size mismatch: ref {r.width}x{r.height} vs "
                 f"test {t.width}x{t.height}")
-    workers = min(len(refs), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda pair: _pair_metrics(pair[0], pair[1], plane),
-                zip(refs, tests)))
-    else:
-        rows = [_pair_metrics(r, t, plane) for r, t in zip(refs, tests)]
+    rows = [None] * len(refs)
+
+    def run(i0, i1):
+        for i in range(i0, i1):
+            rows[i] = _pair_metrics(refs[i], tests[i], plane)
+
+    parallel.over_blocks(len(refs), run)
     return MetricReport(
         plane=plane,
         ws_psnr=[r[0] for r in rows],

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import parallel
+
 _PAYLOAD = {
     "rgb8": lambda w, h: w * h * 3,
     "y8": lambda w, h: w * h,
@@ -373,14 +375,16 @@ def rgb_to_y(rgb: np.ndarray) -> np.ndarray:
     return round_u8(16.0 + 219.0 * lum / 255.0)
 
 
-# float64 elements of one colour-conversion row block's four planes (2 MiB)
+# float64 elements of the colour conversions' row-block planes (2 MiB),
+# per call: the workers share it
 _BLOCK = 1 << 18
 
 
 def block_rows(width: int) -> int:
-    """Rows of one colour-conversion block: even, four planes in
-    ``_BLOCK``."""
-    return max(2, _BLOCK // (4 * width) // 2 * 2)
+    """Rows of one colour-conversion block: even, with each worker's four
+    planes in its share of ``_BLOCK``, so a call's scratch stays one
+    budget at any worker count."""
+    return max(2, _BLOCK // (4 * width * parallel.workers()) // 2 * 2)
 
 
 def rgb_to_yuv420(frame: FrameBuffer) -> FrameBuffer:
@@ -395,10 +399,12 @@ def encode_yuv420(width: int, height: int, rgb_rows) -> FrameBuffer:
     ``rgb_rows(i, k)`` gives for rows ``i`` to ``i + k``, as one (3, k,
     width) array of integers in [0, 255].
 
-    Walks blocks of ``block_rows`` rows, sized to stay in cache, and
+    Walks blocks of ``block_rows`` rows, sized to stay in cache, in
+    contiguous spans, one per worker (``parallel.over_blocks``), and
     writes Y, U and V straight into one preallocated payload. Each block
     runs the same in-place steps the whole frame once did, so the bytes
-    equal the out-of-place reference in ``tests/eval_oracle.py``.
+    equal the out-of-place reference in ``tests/eval_oracle.py`` at any
+    worker count; ``rgb_rows`` is called from the workers' threads.
     """
     w, h = width, height
     if w % 2 or h % 2:
@@ -409,73 +415,83 @@ def encode_yuv420(width: int, height: int, rgb_rows) -> FrameBuffer:
     u = payload[n:n + c].reshape(h // 2, w // 2)
     v = payload[n + c:].reshape(h // 2, w // 2)
     rows = min(h, block_rows(w))
-    planes = np.empty((4, rows, w))
-    quarter = np.empty((rows // 2, w // 2))
-    for i in range(0, h, rows):
-        k = min(rows, h - i)
-        r, g, b, lum = planes[:, :k]
-        np.copyto(planes[:3, :k], rgb_rows(i, k))
-        # in place, in the order of lum = KR r + KG g + KB b, pb = (b - lum)
-        # / (2 (1 - KB)), pr alike, and y, u, v = offset + span * (...) / 255
-        np.multiply(r, _KR, out=lum)
-        lum += np.multiply(g, _KG, out=g)
-        lum += np.multiply(b, _KB, out=g)
-        b -= lum
-        b /= 2.0 * (1.0 - _KB)
-        r -= lum
-        r /= 2.0 * (1.0 - _KR)
-        for p, offset, span in ((lum, 16.0, 219.0), (b, 128.0, 224.0),
-                                (r, 128.0, 224.0)):
-            p *= span
-            p /= 255.0
-            p += offset
-        y[i:i + k] = round_u8(lum)
-        # 2x2 means, summed in the order p00 + p01 + p10 + p11
-        q = quarter[:k // 2]
-        for p, dst in ((b, u), (r, v)):
-            np.add(p[0::2, 0::2], p[0::2, 1::2], out=q)
-            q += p[1::2, 0::2]
-            q += p[1::2, 1::2]
-            q /= 4.0
-            dst[i // 2:(i + k) // 2] = round_u8(q)
+
+    def run(b0, b1):
+        planes = np.empty((4, rows, w))
+        quarter = np.empty((rows // 2, w // 2))
+        for i in range(b0 * rows, b1 * rows, rows):
+            k = min(rows, h - i)
+            r, g, b, lum = planes[:, :k]
+            np.copyto(planes[:3, :k], rgb_rows(i, k))
+            # in place, in the order of lum = KR r + KG g + KB b,
+            # pb = (b - lum) / (2 (1 - KB)), pr alike, and
+            # y, u, v = offset + span * (...) / 255
+            np.multiply(r, _KR, out=lum)
+            lum += np.multiply(g, _KG, out=g)
+            lum += np.multiply(b, _KB, out=g)
+            b -= lum
+            b /= 2.0 * (1.0 - _KB)
+            r -= lum
+            r /= 2.0 * (1.0 - _KR)
+            for p, offset, span in ((lum, 16.0, 219.0), (b, 128.0, 224.0),
+                                    (r, 128.0, 224.0)):
+                p *= span
+                p /= 255.0
+                p += offset
+            y[i:i + k] = round_u8(lum)
+            # 2x2 means, summed in the order p00 + p01 + p10 + p11
+            q = quarter[:k // 2]
+            for p, dst in ((b, u), (r, v)):
+                np.add(p[0::2, 0::2], p[0::2, 1::2], out=q)
+                q += p[1::2, 0::2]
+                q += p[1::2, 1::2]
+                q /= 4.0
+                dst[i // 2:(i + k) // 2] = round_u8(q)
+
+    parallel.over_blocks(-(-h // rows), run)
     return FrameBuffer("yuv420", w, h, payload.tobytes())
 
 
 def yuv420_to_rgb(frame: FrameBuffer) -> FrameBuffer:
     """Convert 4:2:0 to rgb8 (nearest chroma upsampling).
 
-    Walks blocks of ``block_rows`` rows, as ``encode_yuv420`` does, in the
-    operand order of the reference in ``tests/eval_oracle.py``.
+    Walks blocks of ``block_rows`` rows in spans, as ``encode_yuv420``
+    does, in the operand order of the reference in
+    ``tests/eval_oracle.py``.
     """
     y, u, v = frame.yuv_planes()
     w, h = frame.width, frame.height
     rgb = np.empty((h, w, 3), np.uint8)
     rows = min(h, block_rows(w))
-    planes = np.empty((4, rows, w))
-    quarter = np.empty((rows // 2, w // 2))
-    for i in range(0, h, rows):
-        k = min(rows, h - i)
-        yf, r, g, b = planes[:, :k]
-        np.copyto(yf, y[i:i + k])
-        yf -= 16.0
-        yf *= 255.0 / 219.0
-        # r = vf (2 (1 - KR)) + yf and b = uf (2 (1 - KB)) + yf, with the
-        # chroma products taken at quarter size, then added to each of the
-        # 2x2 pixels they cover
-        q = quarter[:k // 2]
-        for c, kc, dst in ((v, _KR, r), (u, _KB, b)):
-            np.copyto(q, c[i // 2:(i + k) // 2])
-            q -= 128.0
-            q *= 255.0 / 224.0
-            q *= 2.0 * (1.0 - kc)
-            pairs = (k // 2, 2, w // 2, 2)
-            np.add(q[:, None, :, None], yf.reshape(pairs),
-                   out=dst.reshape(pairs))
-        # g = (yf - KR r - KB b) / KG
-        np.multiply(r, _KR, out=g)
-        np.subtract(yf, g, out=g)
-        g -= np.multiply(b, _KB, out=yf)
-        g /= _KG
-        for ch, p in enumerate((r, g, b)):
-            rgb[i:i + k, :, ch] = round_u8(p)
+
+    def run(b0, b1):
+        planes = np.empty((4, rows, w))
+        quarter = np.empty((rows // 2, w // 2))
+        for i in range(b0 * rows, b1 * rows, rows):
+            k = min(rows, h - i)
+            yf, r, g, b = planes[:, :k]
+            np.copyto(yf, y[i:i + k])
+            yf -= 16.0
+            yf *= 255.0 / 219.0
+            # r = vf (2 (1 - KR)) + yf and b = uf (2 (1 - KB)) + yf, with
+            # the chroma products taken at quarter size, then added to each
+            # of the 2x2 pixels they cover
+            q = quarter[:k // 2]
+            for c, kc, dst in ((v, _KR, r), (u, _KB, b)):
+                np.copyto(q, c[i // 2:(i + k) // 2])
+                q -= 128.0
+                q *= 255.0 / 224.0
+                q *= 2.0 * (1.0 - kc)
+                pairs = (k // 2, 2, w // 2, 2)
+                np.add(q[:, None, :, None], yf.reshape(pairs),
+                       out=dst.reshape(pairs))
+            # g = (yf - KR r - KB b) / KG
+            np.multiply(r, _KR, out=g)
+            np.subtract(yf, g, out=g)
+            g -= np.multiply(b, _KB, out=yf)
+            g /= _KG
+            for ch, p in enumerate((r, g, b)):
+                rgb[i:i + k, :, ch] = round_u8(p)
+
+    parallel.over_blocks(-(-h // rows), run)
     return FrameBuffer("rgb8", w, h, rgb.tobytes())

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import correlate1d
 
+from . import parallel
+
 
 @dataclass(frozen=True)
 class WeightMap:
@@ -122,8 +124,9 @@ def ssim_map(ref, test) -> np.ndarray:
     """Valid-mode SSIM map of 8-bit-range planes (peak 255): shape
     (h-10, w-10), 11x11 Gaussian sigma 1.5.
 
-    One walk over blocks of output rows, with block scratch sized to stay
-    in cache. A block fills r, t, r*r, t*t and r*t as float64 over its rows
+    One walk over blocks of output rows, split into contiguous spans, one
+    per worker (``parallel.over_blocks``); each span owns block scratch
+    sized to stay in cache. A block fills r, t, r*r, t*t and r*t as float64 over its rows
     plus the 10 the window needs, and runs the vertical Gaussian on its
     valid rows only: as numpy row slices in ``correlate1d``'s order for a
     symmetric filter, x[c] g5 then += (x[c-5+k] + x[c+5-k]) g_k for
@@ -131,8 +134,9 @@ def ssim_map(ref, test) -> np.ndarray:
     runs the horizontal pass over the five-plane block, and the SSIM
     formula runs in place. The map is cropped [5:-5, 5:-5], so no kept
     value reads the ``nearest`` padding and the skipped border rows are
-    never needed. ``tests/eval_oracle.py`` holds the out-of-place form
-    this must equal bit for bit.
+    never needed. Every row runs the same steps whichever span holds it,
+    so the map is bitwise at any worker count. ``tests/eval_oracle.py``
+    holds the out-of-place form this must equal bit for bit.
     """
     r, t = _as_planes(ref, test)
     h, w = r.shape
@@ -142,37 +146,42 @@ def ssim_map(ref, test) -> np.ndarray:
     g = _gaussian_taps()
     out = np.empty((h - 2 * _RADIUS, w - 2 * _RADIUS))
     rows = min(_ssim_rows(w), len(out))
-    planes = np.empty((5, rows + 2 * _RADIUS, w))
-    vert = np.empty((5, rows, w))
-    work = np.empty((5, rows, w))
-    for o in range(0, len(out), rows):
-        n = min(rows, len(out) - o)
-        x = planes[:, :n + 2 * _RADIUS]
-        np.copyto(x[0], r[o:o + n + 2 * _RADIUS])
-        np.copyto(x[1], t[o:o + n + 2 * _RADIUS])
-        np.multiply(x[:2], x[:2], out=x[2:4])
-        np.multiply(x[0], x[1], out=x[4])
-        v, s = vert[:, :n], work[:, :n]
-        np.multiply(x[:, _RADIUS:_RADIUS + n], g[_RADIUS], out=v)
-        for k in range(_RADIUS):
-            np.add(x[:, k:k + n], x[:, _WIN - 1 - k:_WIN - 1 - k + n], out=s)
-            s *= g[k]
-            v += s
-        correlate1d(v, g, axis=-1, output=s, mode="nearest")
-        # over full rows, which keeps every operand contiguous
-        mu1, mu2, s1, s2, s12 = s
-        mu12 = np.multiply(mu1, mu2, out=v[0])
-        s[:2] *= s[:2]  # mu1_sq, mu2_sq
-        s[2:4] -= s[:2]
-        s12 -= mu12
-        # ((2 mu12 + c1) (2 s12 + c2))
-        #   / ((mu1_sq + mu2_sq + c1) (s1 + s2 + c2))
-        num = np.add(np.multiply(mu12, 2, out=mu12), _C1, out=mu12)
-        num *= np.add(np.multiply(s12, 2, out=s12), _C2, out=s12)
-        den = np.add(np.add(mu1, mu2, out=mu1), _C1, out=mu1)
-        den *= np.add(np.add(s1, s2, out=s1), _C2, out=s1)
-        num /= den
-        out[o:o + n] = num[:, _RADIUS:-_RADIUS]
+
+    def run(b0, b1):
+        planes = np.empty((5, rows + 2 * _RADIUS, w))
+        vert = np.empty((5, rows, w))
+        work = np.empty((5, rows, w))
+        for o in range(b0 * rows, b1 * rows, rows):
+            n = min(rows, len(out) - o)
+            x = planes[:, :n + 2 * _RADIUS]
+            np.copyto(x[0], r[o:o + n + 2 * _RADIUS])
+            np.copyto(x[1], t[o:o + n + 2 * _RADIUS])
+            np.multiply(x[:2], x[:2], out=x[2:4])
+            np.multiply(x[0], x[1], out=x[4])
+            v, s = vert[:, :n], work[:, :n]
+            np.multiply(x[:, _RADIUS:_RADIUS + n], g[_RADIUS], out=v)
+            for k in range(_RADIUS):
+                far = _WIN - 1 - k
+                np.add(x[:, k:k + n], x[:, far:far + n], out=s)
+                s *= g[k]
+                v += s
+            correlate1d(v, g, axis=-1, output=s, mode="nearest")
+            # over full rows, which keeps every operand contiguous
+            mu1, mu2, s1, s2, s12 = s
+            mu12 = np.multiply(mu1, mu2, out=v[0])
+            s[:2] *= s[:2]  # mu1_sq, mu2_sq
+            s[2:4] -= s[:2]
+            s12 -= mu12
+            # ((2 mu12 + c1) (2 s12 + c2))
+            #   / ((mu1_sq + mu2_sq + c1) (s1 + s2 + c2))
+            num = np.add(np.multiply(mu12, 2, out=mu12), _C1, out=mu12)
+            num *= np.add(np.multiply(s12, 2, out=s12), _C2, out=s12)
+            den = np.add(np.add(mu1, mu2, out=mu1), _C1, out=mu1)
+            den *= np.add(np.add(s1, s2, out=s1), _C2, out=s1)
+            num /= den
+            out[o:o + n] = num[:, _RADIUS:-_RADIUS]
+
+    parallel.over_blocks(-(-len(out) // rows), run)
     return out
 
 

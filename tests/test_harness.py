@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from odsr import harness, media, score
+from odsr import harness, media, parallel, score
 from odsr.engine.tensor import Tensor
 from odsr.models import resample
 
@@ -153,6 +153,12 @@ class TestRunSequenceMemory:
         assert (out[0].width, out[0].height) == (1920, 1080)
         assert peak < tensors + payloads + 4 * 2 ** 20
 
+    def test_four_workers_share_the_block_buffers(self, monkeypatch):
+        """The same frame and bound with four row-block workers: they share
+        each loop's ``_BLOCK`` budget rather than taking one each."""
+        monkeypatch.setattr(parallel, "workers", lambda: 4)
+        self.test_baseline_frame_stays_near_its_tensors()
+
 
 class TestEvaluatePair:
     def test_identical_sequences(self):
@@ -200,17 +206,17 @@ class TestEvaluatePair:
                                   [make_frame(rng, 16, 24)])
 
     def test_workers_match_serial(self, monkeypatch):
-        # three CPUs, so four frames take the threaded path on any machine
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        # three workers, so four frames take the threaded path on any machine
+        monkeypatch.setattr(parallel, "workers", lambda: 3)
         pools = []
-        real_pool = harness.ThreadPoolExecutor
-        monkeypatch.setattr(harness, "ThreadPoolExecutor",
-                            lambda **kw: pools.append(kw) or real_pool(**kw))
+        real_pool = parallel.ThreadPoolExecutor
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor",
+                            lambda n: pools.append(n) or real_pool(n))
         rng = np.random.default_rng(8)
         ref = [make_frame(rng, 16, 24) for _ in range(4)]
         test = [make_frame(rng, 16, 24) for _ in range(4)]
         threaded = harness.evaluate_pair(ref, test)
-        assert pools == [{"max_workers": 3}]
+        assert pools == [2]  # three spans, the first on the calling thread
         single = [harness.evaluate_pair([r], [t]) for r, t in zip(ref, test)]
         assert len(pools) == 1  # a one-frame call scores serially
         for key in ("ws_psnr", "ws_ssim", "psnr", "ssim"):
