@@ -375,16 +375,27 @@ def rgb_to_y(rgb: np.ndarray) -> np.ndarray:
     return round_u8(16.0 + 219.0 * lum / 255.0)
 
 
-# float64 elements of the colour conversions' row-block planes (2 MiB),
-# per call: the workers share it
+# float64 elements of one colour-conversion row block's four planes
+# (2 MiB); the spans of a block-parallel conversion share it
 _BLOCK = 1 << 18
+# row pairs a conversion span's block keeps at least: 8-row blocks of a 2K
+# frame measured within 8% of 34-row blocks per row, 2-row blocks 40-68%
+# slower
+_LEAST_PAIRS = 4
 
 
 def block_rows(width: int) -> int:
-    """Rows of one colour-conversion block: even, with each worker's four
-    planes in its share of ``_BLOCK``, so a call's scratch stays one
-    budget at any worker count."""
-    return max(2, _BLOCK // (4 * width * parallel.workers()) // 2 * 2)
+    """Rows of one colour-conversion block: even, four planes in
+    ``_BLOCK``."""
+    return max(2, _BLOCK // (4 * width) // 2 * 2)
+
+
+def _over_pairs(h: int, width: int, run) -> None:
+    """Run ``run(i0, i1, rows)`` on spans of rows ``i0`` to ``i1`` that
+    walk blocks of ``rows`` rows, with the spans splitting the rows of one
+    ``block_rows`` budget in whole row pairs (``parallel.over_rows``)."""
+    parallel.over_rows(h // 2, block_rows(width) // 2, _LEAST_PAIRS,
+                       lambda p0, p1, pairs: run(2 * p0, 2 * p1, 2 * pairs))
 
 
 def rgb_to_yuv420(frame: FrameBuffer) -> FrameBuffer:
@@ -399,12 +410,13 @@ def encode_yuv420(width: int, height: int, rgb_rows) -> FrameBuffer:
     ``rgb_rows(i, k)`` gives for rows ``i`` to ``i + k``, as one (3, k,
     width) array of integers in [0, 255].
 
-    Walks blocks of ``block_rows`` rows, sized to stay in cache, in
-    contiguous spans, one per worker (``parallel.over_blocks``), and
-    writes Y, U and V straight into one preallocated payload. Each block
-    runs the same in-place steps the whole frame once did, so the bytes
-    equal the out-of-place reference in ``tests/eval_oracle.py`` at any
-    worker count; ``rgb_rows`` is called from the workers' threads.
+    Walks blocks of even rows, sized to stay in cache, in contiguous
+    spans on the workers, which split one ``block_rows`` budget
+    (``_over_pairs``), and writes Y, U and V straight into one
+    preallocated payload. Each block runs the same in-place steps the
+    whole frame once did, so the bytes equal the out-of-place reference
+    in ``tests/eval_oracle.py`` at any worker count; ``rgb_rows`` is
+    called from the workers' threads.
     """
     w, h = width, height
     if w % 2 or h % 2:
@@ -414,12 +426,11 @@ def encode_yuv420(width: int, height: int, rgb_rows) -> FrameBuffer:
     y = payload[:n].reshape(h, w)
     u = payload[n:n + c].reshape(h // 2, w // 2)
     v = payload[n + c:].reshape(h // 2, w // 2)
-    rows = min(h, block_rows(w))
 
-    def run(b0, b1):
-        planes = np.empty((4, rows, w))
-        quarter = np.empty((rows // 2, w // 2))
-        for i in range(b0 * rows, b1 * rows, rows):
+    def run(i0, i1, rows):
+        planes = np.empty((4, min(h, rows), w))
+        quarter = np.empty((min(h, rows) // 2, w // 2))
+        for i in range(i0, i1, rows):
             k = min(rows, h - i)
             r, g, b, lum = planes[:, :k]
             np.copyto(planes[:3, :k], rgb_rows(i, k))
@@ -448,26 +459,24 @@ def encode_yuv420(width: int, height: int, rgb_rows) -> FrameBuffer:
                 q /= 4.0
                 dst[i // 2:(i + k) // 2] = round_u8(q)
 
-    parallel.over_blocks(-(-h // rows), run)
+    _over_pairs(h, w, run)
     return FrameBuffer("yuv420", w, h, payload.tobytes())
 
 
 def yuv420_to_rgb(frame: FrameBuffer) -> FrameBuffer:
     """Convert 4:2:0 to rgb8 (nearest chroma upsampling).
 
-    Walks blocks of ``block_rows`` rows in spans, as ``encode_yuv420``
-    does, in the operand order of the reference in
-    ``tests/eval_oracle.py``.
+    Walks blocks of even rows in spans, as ``encode_yuv420`` does, in the
+    operand order of the reference in ``tests/eval_oracle.py``.
     """
     y, u, v = frame.yuv_planes()
     w, h = frame.width, frame.height
     rgb = np.empty((h, w, 3), np.uint8)
-    rows = min(h, block_rows(w))
 
-    def run(b0, b1):
-        planes = np.empty((4, rows, w))
-        quarter = np.empty((rows // 2, w // 2))
-        for i in range(b0 * rows, b1 * rows, rows):
+    def run(i0, i1, rows):
+        planes = np.empty((4, min(h, rows), w))
+        quarter = np.empty((min(h, rows) // 2, w // 2))
+        for i in range(i0, i1, rows):
             k = min(rows, h - i)
             yf, r, g, b = planes[:, :k]
             np.copyto(yf, y[i:i + k])
@@ -493,5 +502,5 @@ def yuv420_to_rgb(frame: FrameBuffer) -> FrameBuffer:
             for ch, p in enumerate((r, g, b)):
                 rgb[i:i + k, :, ch] = round_u8(p)
 
-    parallel.over_blocks(-(-h // rows), run)
+    _over_pairs(h, w, run)
     return FrameBuffer("rgb8", w, h, rgb.tobytes())

@@ -124,12 +124,13 @@ def ssim_map(ref, test) -> np.ndarray:
     """Valid-mode SSIM map of 8-bit-range planes (peak 255): shape
     (h-10, w-10), 11x11 Gaussian sigma 1.5.
 
-    One walk over blocks of output rows, split into contiguous spans, one
-    per worker (``parallel.over_blocks``); each span owns block scratch
-    sized to stay in cache. A block fills r, t, r*r, t*t and r*t as float64 over its rows
-    plus the 10 the window needs, and runs the vertical Gaussian on its
-    valid rows only: as numpy row slices in ``correlate1d``'s order for a
-    symmetric filter, x[c] g5 then += (x[c-5+k] + x[c+5-k]) g_k for
+    One walk over blocks of output rows, split into contiguous spans on
+    the workers (``parallel.over_blocks``). Each span owns one block of
+    scratch sized to stay in its core's cache, and there are no more spans
+    than keep their scratch within the map's size. A block fills r, t,
+    r*r, t*t and r*t as float64 over its rows plus the 10 the window
+    needs, and runs the vertical Gaussian on its valid rows only: as numpy
+    row slices in ``correlate1d``'s order for a symmetric filter, x[c] g5 then += (x[c-5+k] + x[c+5-k]) g_k for
     k = 0..4 (checked against scipy 1.17.1). One ``correlate1d`` call then
     runs the horizontal pass over the five-plane block, and the SSIM
     formula runs in place. The map is cropped [5:-5, 5:-5], so no kept
@@ -181,7 +182,8 @@ def ssim_map(ref, test) -> np.ndarray:
             num /= den
             out[o:o + n] = num[:, _RADIUS:-_RADIUS]
 
-    parallel.over_blocks(-(-len(out) // rows), run)
+    parallel.over_blocks(-(-len(out) // rows), run,
+                         max(1, out.size // _BLOCK))
     return out
 
 

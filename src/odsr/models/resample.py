@@ -126,17 +126,17 @@ def resize_plane(plane: np.ndarray, out_hw: tuple[int, int],
     """Separable resize of a (..., h, w) plane stack into ``out``, a new
     float64 array when None, which is returned.
 
-    An integer row upscale walks blocks of input rows, in contiguous spans
-    of blocks, one per worker (``parallel.over_blocks``).  The workers
-    share one ``_BLOCK`` budget, so each span's float64 buffer holds
-    ``_BLOCK // workers`` elements plus its halo.  Each block reads a halo
-    as deep as the longest FIR reaches, so no output row sees the block's
-    edge, runs the row phases into its span's buffer, then resizes its
-    columns straight into ``out``.  The first and last blocks clamp at the
-    frame's edges, so every block equals the same rows of one whole-stack
-    pass at any worker count.  Dense columns keep one block, so BLAS runs
-    once per plane on the calling thread.  Every other row ratio is one
-    dense product.
+    An integer row upscale walks blocks of input rows.  Each block reads a
+    halo as deep as the longest FIR reaches, so no output row sees the
+    block's edge, runs the row phases into a float64 buffer, then resizes
+    its columns straight into ``out``.  The first and last blocks clamp at
+    the frame's edges, so every block equals the same rows of one
+    whole-stack pass.  With polyphase columns the blocks run in spans on
+    the workers (``parallel.over_rows``), which share one ``_BLOCK``
+    budget of buffer rows, so the bytes and the scratch do not depend on
+    the worker count.  Dense columns keep one block, so BLAS runs once per
+    plane on the calling thread.  Every other row ratio is one dense
+    product.
     """
     if plane.ndim < 2:
         raise ValueError(
@@ -165,20 +165,24 @@ def resize_plane(plane: np.ndarray, out_hw: tuple[int, int],
         return out
     rows = _phases(kernel, sh)
     halo = max(max(-first, first + len(fir) - 1) for fir, first in rows)
-    # a dense column product runs as one block: one BLAS call per plane,
-    # as in a whole-stack pass; the workers share one ``_BLOCK`` budget
-    step = (max(1, _BLOCK // (parallel.workers() * math.prod(
-        plane.shape[:-2]) * sh * w)) if sw else h)
 
-    def run(b0, b1):
+    def run(r0, r1, step):
         buf = np.empty(plane.shape[:-2] + (min(h, step + 2 * halo) * sh, w))
-        for r0 in range(b0 * step, b1 * step, step):
-            r1 = min(h, r0 + step)
-            lo, hi = max(0, r0 - halo), min(h, r1 + halo)
+        for b0 in range(r0, r1, step):
+            b1 = min(h, b0 + step)
+            lo, hi = max(0, b0 - halo), min(h, b1 + halo)
             block = buf[..., :(hi - lo) * sh, :]
             _polyphase(plane[..., lo:hi, :], rows, -2, block)
-            resize_cols(block[..., (r0 - lo) * sh:(r1 - lo) * sh, :],
-                        out[..., r0 * sh:r1 * sh, :])
+            resize_cols(block[..., (b0 - lo) * sh:(b1 - lo) * sh, :],
+                        out[..., b0 * sh:b1 * sh, :])
 
-    parallel.over_blocks(-(-h // step), run)
+    if sw:
+        # the spans share one ``_BLOCK`` budget, each block at least twice
+        # its halo deep
+        budget = max(1, _BLOCK // (math.prod(plane.shape[:-2]) * sh * w))
+        parallel.over_rows(h, budget, max(1, 2 * halo), run)
+    else:
+        # a dense column product runs as one block: one BLAS call per
+        # plane, as in a whole-stack pass
+        run(0, h, h)
     return out

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import eval_oracle
 import resample_oracle
-from odsr import harness, media, metrics
+from odsr import harness, media, metrics, parallel
 from odsr.engine.tensor import Tensor
 from odsr.models import resample
 
@@ -95,7 +95,11 @@ class TestBlockedUpscale:
 
     @pytest.mark.parametrize("kernel", ["cubic", "lanczos4"])
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
-    def test_several_blocks_and_a_partial_last_one(self, kernel, s):
+    def test_several_blocks_and_a_partial_last_one(self, monkeypatch,
+                                                   kernel, s):
+        # one worker, so the blocks are whole budgets; tests/test_parallel.py
+        # splits them among several
+        monkeypatch.setattr(parallel, "workers", lambda: 1)
         w = 100
         step = resample._BLOCK // (2 * 3 * s * w)
         h = 2 * step + 7
@@ -134,6 +138,16 @@ class TestBlockedUpscale:
                                       want.view(np.int32))
 
 
+# worker counts the partial-block tests force, whatever the host has
+WORKERS = (1, 2, 3, 5)
+
+
+def _colour_rows(width: int) -> int:
+    """Rows of a 4:2:0 conversion's blocks at the current worker count."""
+    return 2 * parallel.shares(media.block_rows(width) // 2,
+                               media._LEAST_PAIRS)[1]
+
+
 _U8_FRAME = st.tuples(st.integers(1, 24), st.integers(1, 24),
                       st.integers(0, 2 ** 32 - 1))
 
@@ -170,24 +184,30 @@ class TestColourInPlace:
         assert media.yuv420_to_rgb(yuv).payload == \
             eval_oracle.yuv420_to_rgb(yuv).payload
 
-    def test_partial_last_block_bitwise(self):
-        # two whole row blocks, then one of three row pairs
-        rows = media.block_rows(1920)
-        h = 2 * rows + 6
-        assert rows % 2 == 0 and h % rows == 6
-        rgb = np.random.default_rng(12).integers(
-            0, 256, (h, 1920, 3), dtype=np.uint8)
-        got = media.rgb_to_yuv420(media.FrameBuffer.from_rgb(rgb))
-        assert got.payload == eval_oracle.rgb_to_yuv420(rgb).payload
+    def test_partial_last_block_bitwise(self, monkeypatch):
+        # two whole row blocks, then one of three row pairs, at each worker
+        # count
+        for workers in WORKERS:
+            monkeypatch.setattr(parallel, "workers", lambda: workers)
+            rows = _colour_rows(1920)
+            h = 2 * rows + 6
+            assert rows % 2 == 0 and h % rows == 6
+            rgb = np.random.default_rng(12).integers(
+                0, 256, (h, 1920, 3), dtype=np.uint8)
+            got = media.rgb_to_yuv420(media.FrameBuffer.from_rgb(rgb))
+            assert got.payload == eval_oracle.rgb_to_yuv420(rgb).payload
 
-    def test_decode_partial_last_block_bitwise(self):
-        rows = media.block_rows(1920)
-        h = 2 * rows + 6
-        payload = np.random.default_rng(13).integers(
-            0, 256, h * 1920 * 3 // 2, dtype=np.uint8).tobytes()
-        yuv = media.FrameBuffer("yuv420", 1920, h, payload)
-        assert media.yuv420_to_rgb(yuv).payload == \
-            eval_oracle.yuv420_to_rgb(yuv).payload
+    def test_decode_partial_last_block_bitwise(self, monkeypatch):
+        for workers in WORKERS:
+            monkeypatch.setattr(parallel, "workers", lambda: workers)
+            rows = _colour_rows(1920)
+            h = 2 * rows + 6
+            assert h % rows == 6
+            payload = np.random.default_rng(13).integers(
+                0, 256, h * 1920 * 3 // 2, dtype=np.uint8).tobytes()
+            yuv = media.FrameBuffer("yuv420", 1920, h, payload)
+            assert media.yuv420_to_rgb(yuv).payload == \
+                eval_oracle.yuv420_to_rgb(yuv).payload
 
 
 class TestFrameTensorConversions:
@@ -216,11 +236,18 @@ class TestFrameTensorConversions:
             eval_oracle.tensor_to_frame(t, layout)
 
     @pytest.mark.parametrize("layout", ["yuv420", "rgb8", "y8"])
-    def test_tensor_to_frame_partial_last_block_bitwise(self, layout):
-        h = 2 * media.block_rows(1920) + 6
-        t = Tensor(_unit_floats((1, 3, h, 1920), 19))
-        assert harness.tensor_to_frame(t, layout) == \
-            eval_oracle.tensor_to_frame(t, layout)
+    def test_tensor_to_frame_partial_last_block_bitwise(self, monkeypatch,
+                                                        layout):
+        # yuv420 walks the spans' blocks, rgb8 and y8 whole ``block_rows``
+        for workers in WORKERS:
+            monkeypatch.setattr(parallel, "workers", lambda: workers)
+            rows = (_colour_rows(1920) if layout == "yuv420"
+                    else media.block_rows(1920))
+            h = 2 * rows + 6
+            assert h % rows == 6
+            t = Tensor(_unit_floats((1, 3, h, 1920), 19))
+            assert harness.tensor_to_frame(t, layout) == \
+                eval_oracle.tensor_to_frame(t, layout)
 
 
 _DTYPES = st.sampled_from([np.uint8, np.float32, np.float64])

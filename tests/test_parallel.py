@@ -1,6 +1,7 @@
-"""Row-block spans on several workers: ``parallel.over_blocks`` itself, and
-the SSIM map, the polyphase upscale and the 4:2:0 colour conversions bit
-for bit against their oracles at any worker count."""
+"""Row-block spans on several workers: ``parallel.over_blocks`` and
+``over_rows`` themselves, and the SSIM map, the polyphase upscale and the
+4:2:0 colour conversions bit for bit against their oracles, and within
+their memory budgets, at any worker count."""
 import sys
 import threading
 import tracemalloc
@@ -43,6 +44,24 @@ class TestOverBlocks:
         assert all(b1 > b0 for b0, b1 in seen)
         assert len(seen) == min(count, workers)
 
+    @pytest.mark.parametrize("most", [1, 2])
+    def test_most_caps_the_spans(self, workers, most):
+        seen = []
+        parallel.over_blocks(7, lambda b0, b1: seen.append((b0, b1)), most)
+        assert sorted(seen)[0][0] == 0 and sorted(seen)[-1][1] == 7
+        assert len(seen) == min(most, workers)
+
+    def test_affinity_or_every_cpu(self, monkeypatch):
+        # a taskset mask counts; platforms without the call use every CPU
+        monkeypatch.setattr(parallel.os, "sched_getaffinity",
+                            lambda pid: {2, 5}, raising=False)
+        assert parallel.workers() == 2
+        monkeypatch.delattr(parallel.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 6)
+        assert parallel.workers() == 6
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: None)
+        assert parallel.workers() == 1
+
     def test_one_worker_runs_inline(self, monkeypatch):
         monkeypatch.setattr(parallel, "workers", lambda: 1)
         threads = []
@@ -79,27 +98,53 @@ class TestOverBlocks:
         assert threading.active_count() == before
 
 
+class TestOverRows:
+    @pytest.mark.parametrize("n, rows, least, want", [
+        # a 2K lanczos4 x2 upscale of three planes: 45 rows, halo 4
+        (540, 45, 8, {1: (1, 45), 2: (2, 22), 3: (3, 15), 5: (5, 9),
+                      64: (5, 9)}),
+        # a budget below the floor stays whole on one span
+        (20, 3, 8, {1: (1, 3), 2: (1, 3), 64: (1, 3)}),
+        (7, 12, 1, {1: (1, 12), 3: (3, 4), 64: (12, 1)})])
+    def test_spans_split_the_budget_down_to_the_floor(
+            self, monkeypatch, n, rows, least, want):
+        for count, (spans, step) in want.items():
+            monkeypatch.setattr(parallel, "workers", lambda: count)
+            assert parallel.shares(rows, least) == (spans, step)
+            seen = []
+            parallel.over_rows(n, rows, least, lambda r0, r1, s: seen.append(
+                (r0, r1, s)))
+            seen.sort()
+            assert [r for r0, r1, _ in seen for r in range(r0, r1)] == \
+                list(range(n))
+            assert all(s == step and r0 % step == 0 for r0, _, s in seen)
+            assert len(seen) == min(spans, -(-n // step))
+
+
 class TestBitwiseAtAnyWorkerCount:
     """Each output row runs the same steps in the same order whichever
     span holds it; small ``_BLOCK`` budgets give many blocks, fewer blocks
     than workers, and short last blocks."""
 
-    @pytest.mark.parametrize("h", [11, 14, 41])
+    @pytest.mark.parametrize("h", [11, 14, 250, 600])
     def test_ssim_map(self, workers, monkeypatch, h):
-        # two output rows per block
-        monkeypatch.setattr(metrics, "_BLOCK", 5 * 30 * 16)
+        # two output rows per block, and one span per 96 output rows at
+        # most, so 600 rows run on every worker
+        monkeypatch.setattr(metrics, "_BLOCK", 5 * 60 * 16)
         rng = np.random.default_rng(h)
-        ref = rng.integers(0, 256, (h, 30), dtype=np.uint8)
-        test = rng.integers(0, 256, (h, 30), dtype=np.uint8)
+        ref = rng.integers(0, 256, (h, 60), dtype=np.uint8)
+        test = rng.integers(0, 256, (h, 60), dtype=np.uint8)
         np.testing.assert_array_equal(
             _bits(metrics.ssim_map(ref, test)),
             _bits(eval_oracle.ssim_map(ref, test)))
 
     @pytest.mark.parametrize("kernel", ["cubic", "lanczos4"])
     @pytest.mark.parametrize("s", [2, 4])
-    @pytest.mark.parametrize("h", [1, 7, 23])
+    @pytest.mark.parametrize("h", [1, 7, 23, 101])
     def test_resize_plane(self, workers, monkeypatch, kernel, s, h):
-        monkeypatch.setattr(resample, "_BLOCK", 600)
+        # a budget of 40 rows at x2 and 20 at x4, split down to blocks of
+        # twice the halo: 2 for cubic, 4 for lanczos4
+        monkeypatch.setattr(resample, "_BLOCK", 2400)
         x = np.random.default_rng(h * s).random((3, h, 10)) * 1.2 - 0.1
         for out_hw in ((h * s, 10 * s), (h * s, 15)):
             want = resample_oracle.polyphase_resize_plane(x, out_hw, kernel)
@@ -110,10 +155,11 @@ class TestBitwiseAtAnyWorkerCount:
             np.testing.assert_array_equal(
                 out.view(np.int32), want.astype(np.float32).view(np.int32))
 
-    @pytest.mark.parametrize("h", [2, 6, 22])
+    @pytest.mark.parametrize("h", [2, 6, 22, 90])
     def test_colour_conversions(self, workers, monkeypatch, h):
-        # eight rows per block at one worker, two at three or more
-        monkeypatch.setattr(media, "_BLOCK", 4 * 16 * 8)
+        # a budget of 40 rows: 40-row blocks on one worker, 20, 12 and 8 on
+        # two, three and five
+        monkeypatch.setattr(media, "_BLOCK", 4 * 16 * 40)
         rng = np.random.default_rng(h)
         rgb = rng.integers(0, 256, (h, 16, 3), dtype=np.uint8)
         want = eval_oracle.rgb_to_yuv420(rgb)
@@ -126,12 +172,14 @@ class TestBitwiseAtAnyWorkerCount:
             eval_oracle.yuv420_to_rgb(want).payload
 
 
-@pytest.mark.parametrize("bad", [0, 10])
+@pytest.mark.parametrize("bad", [0, 16])
 def test_encode_raises_a_block_error_unchanged(monkeypatch, bad):
     """A ``ValueError`` from one block's rows leaves ``encode_yuv420`` as
     itself, so the CLI still exits 2, and every span's thread is gone."""
+    # three spans of one 8-row block: rows 0 on the calling thread, 16 on
+    # the pool
     monkeypatch.setattr(parallel, "workers", lambda: 3)
-    monkeypatch.setattr(media, "_BLOCK", 4 * 16 * 6)
+    monkeypatch.setattr(media, "_BLOCK", 4 * 16 * 24)
 
     def rgb_rows(i, k):
         if i == bad:
@@ -140,23 +188,43 @@ def test_encode_raises_a_block_error_unchanged(monkeypatch, bad):
 
     before = threading.active_count()
     with pytest.raises(ValueError, match=f"bad rows at {bad}"):
-        media.encode_yuv420(16, 12, rgb_rows)
+        media.encode_yuv420(16, 24, rgb_rows)
     assert threading.active_count() == before
 
 
 
-def test_upscale_workers_share_one_block_budget(monkeypatch):
-    """Four workers split ``resample._BLOCK``: a 2K bicubic x2 upscale into
-    a given ``out`` holds about one budget of row buffers plus each span's
-    halo rows, where a whole budget per worker would hold four."""
-    monkeypatch.setattr(parallel, "workers", lambda: 4)
+@pytest.mark.parametrize("count, kernel", [(4, "cubic"), (64, "cubic"),
+                                           (64, "lanczos4")])
+def test_upscale_workers_share_one_block_budget(monkeypatch, count, kernel):
+    """The workers split ``resample._BLOCK``: a 2K x2 upscale into a given
+    ``out`` holds about one budget of row buffers plus each span's halo
+    rows, where a whole budget per worker would hold four at four workers,
+    and blocks of a row or two would hold 64 halos at 64."""
+    monkeypatch.setattr(parallel, "workers", lambda: count)
     x = np.random.default_rng(3).random((1, 3, 540, 960), dtype=np.float32)
     out = np.empty((1, 3, 1080, 1920), np.float32)
-    resample.resize_plane(x, (1080, 1920), "cubic", out=out)  # warm caches
+    resample.resize_plane(x, (1080, 1920), kernel, out=out)  # warm caches
     tracemalloc.start()
     try:
-        resample.resize_plane(x, (1080, 1920), "cubic", out=out)
+        resample.resize_plane(x, (1080, 1920), kernel, out=out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 * 8 * resample._BLOCK
+
+
+def test_ssim_spans_stay_within_the_map(monkeypatch):
+    """On 64 workers a 2K map runs at most as many cache-sized blocks as
+    fit in its own size, so the traced peak stays under two float64
+    planes, as on one worker."""
+    monkeypatch.setattr(parallel, "workers", lambda: 64)
+    rng = np.random.default_rng(16)
+    ref = rng.integers(0, 256, (1080, 1920), dtype=np.uint8)
+    test = rng.integers(0, 256, (1080, 1920), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        metrics.ssim_map(ref, test)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1080 * 1920 * 8
