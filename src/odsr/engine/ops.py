@@ -15,6 +15,7 @@ from numpy.lib.stride_tricks import as_strided
 from scipy.fft import fft2, ifft2
 from scipy.special import erf
 
+from .. import parallel
 from .tensor import Tensor, active_tape
 
 # Elements per column block of a correlation's accumulator or stacked
@@ -23,6 +24,17 @@ from .tensor import Tensor, active_tape
 # _BLOCK / max(co/g, taps*ci/g) columns it grows to one row, and at most the
 # rows the input has, so small planes get small buffers.
 _BLOCK = 1 << 17
+# A correlation's spans share a budget of this many _BLOCKs of block
+# scratch (two spans of a typical block), so memory does not grow with the
+# CPU count.
+_SPAN_BLOCKS = 4
+# A 1x1 product runs in column pieces a multiple of _PIECE_ALIGN wide, each
+# of at least _PIECE_MACS multiply-adds: OpenBLAS runs such products in its
+# general kernel, which sums every column as one product over the plane
+# does.  Its small-matrix kernel (up to 100^3 multiply-adds) and a one-row
+# weight's kernel sum the last few columns of a plane in another order.
+_PIECE_ALIGN = 64
+_PIECE_MACS = 1 << 20
 # Elements per block of the float32 GELU kernel: its four scratch rows stay
 # in cache across the 27 passes of the rational erf.
 _GELU_BLOCK = 1 << 15
@@ -430,7 +442,11 @@ def _corr(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
     ``ci/g <= co/g`` one GEMM per block reads a block-sized stacked buffer
     of every tap's shifted slice; otherwise each tap's product is added in
     (tap accumulation).  Depthwise groups (one input channel each) use a
-    broadcast multiply in place of the matmul.
+    broadcast multiply in place of the matmul.  Spans of whole blocks run
+    on the workers (``parallel.over_blocks``), each with its own scratch
+    and at most as many as share ``_SPAN_BLOCKS`` blocks' worth; depthwise
+    blocks run on one.  No block's size depends on the worker count, so
+    the output is bitwise at any worker count.
     """
     n, ci, h, wd = x.shape
     co, cig, kh, kw = w.shape
@@ -439,8 +455,7 @@ def _corr(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
     dtype = np.result_type(x, w)
     out = np.empty((n, co, oh, ow), dtype=dtype)
     if kh == kw == 1 and s == 1 and padding == 0 and g == 1:
-        np.matmul(w.reshape(co, ci), x.reshape(n, ci, h * wd),
-                  out=out.reshape(n, co, h * wd))
+        _pointwise(x, w.reshape(co, ci), out)
         return out
     flat = _phases(x, s, padding, hq, wq).reshape(s, s, g, cig, -1)
     stacked, block = _stacking(cig, co // g, kh * kw, g)
@@ -451,27 +466,57 @@ def _corr(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
     product = np.multiply if cig == 1 else np.matmul
     last = (n - 1) * hq + oh  # padded rows through the last output row
     rows = min(max(1, block // wq), last)
-    acc = np.empty((g, co // g, rows * wq), dtype=dtype)
-    tmp = np.empty_like(acc) if len(wt) > 1 else None
-    col = np.empty((g, stacked, rows * wq), dtype=flat.dtype) \
-        if stacked else None
-    for r0 in range(0, last, rows):
-        r1 = min(r0 + rows, last)
-        c0, c1 = r0 * wq, (r1 - 1) * wq + ow
-        part = acc[:, :, :c1 - c0]
-        for k, src in enumerate(_operands(flat, col, kh, kw, s, wq, c0, c1)):
-            if k == 0:
-                product(wt[k], src, out=part)
-            else:
-                prod = tmp[:, :, :c1 - c0]
-                product(wt[k], src, out=prod)
-                part += prod
-        done = acc.reshape(co, rows, wq)
-        for m in range(r0 // hq, (r1 - 1) // hq + 1):
-            a, b = max(r0, m * hq), min(r1, m * hq + oh)
-            if a < b:
-                out[m, :, a - m * hq:b - m * hq] = done[:, a - r0:b - r0, :ow]
+
+    def run(b0, b1):
+        acc = np.empty((g, co // g, rows * wq), dtype=dtype)
+        tmp = np.empty_like(acc) if len(wt) > 1 else None
+        col = np.empty((g, stacked, rows * wq), dtype=flat.dtype) \
+            if stacked else None
+        for r0 in range(b0 * rows, min(b1 * rows, last), rows):
+            r1 = min(r0 + rows, last)
+            c0, c1 = r0 * wq, (r1 - 1) * wq + ow
+            part = acc[:, :, :c1 - c0]
+            for k, src in enumerate(
+                    _operands(flat, col, kh, kw, s, wq, c0, c1)):
+                if k == 0:
+                    product(wt[k], src, out=part)
+                else:
+                    prod = tmp[:, :, :c1 - c0]
+                    product(wt[k], src, out=prod)
+                    part += prod
+            done = acc.reshape(co, rows, wq)
+            for m in range(r0 // hq, (r1 - 1) // hq + 1):
+                a, b = max(r0, m * hq), min(r1, m * hq + oh)
+                if a < b:
+                    out[m, :, a - m * hq:b - m * hq] = \
+                        done[:, a - r0:b - r0, :ow]
+
+    # depthwise blocks are broadcast multiplies that hold the GIL
+    scratch = g * (co // g * (1 + (len(wt) > 1)) + stacked) * rows * wq
+    parallel.over_blocks(-(-last // rows), run, 1 if cig == 1 else
+                         max(1, _SPAN_BLOCKS * _BLOCK // scratch))
     return out
+
+
+def _pointwise(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
+    """``out[m] = w @ x[m]`` over flat pixels, in column pieces on the
+    workers.  The pieces do not depend on the worker count, and a plane's
+    last piece takes its tail, so no piece is narrower than the others."""
+    n, ci = x.shape[:2]
+    co = len(w)
+    xf, of = x.reshape(n, ci, -1), out.reshape(n, co, -1)
+    hw = xf.shape[2]
+    least = max(_BLOCK // max(co, ci), -(-_PIECE_MACS // (co * ci)))
+    piece = -(-least // _PIECE_ALIGN) * _PIECE_ALIGN
+    per = max(1, hw // piece) if co > 1 else 1  # pieces per image
+
+    def run(b0, b1):
+        for b in range(b0, b1):
+            m, j = divmod(b, per)
+            c0, c1 = j * piece, hw if j == per - 1 else (j + 1) * piece
+            np.matmul(w, xf[m, :, c0:c1], out=of[m, :, c0:c1])
+
+    parallel.over_blocks(n * per, run)
 
 
 def _corr_wgrad(x: np.ndarray, gout: np.ndarray, kh: int, kw: int,

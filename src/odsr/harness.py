@@ -137,11 +137,13 @@ def run_sequence(model, frames: Iterable[FrameBuffer],
 
 @dataclass(frozen=True)
 class RuntimeSample:
-    """Per-repetition forward seconds plus summary statistics."""
+    """Per-repetition forward seconds plus summary statistics, and the
+    worker count the forward's conv spans ran on."""
 
     seconds: tuple[float, ...]
     lr_hw: tuple[int, int]
     out_hw: tuple[int, int]
+    workers: int = 1
 
     @property
     def median(self) -> float:
@@ -185,7 +187,8 @@ def measure_runtime(model, frame, warmup: int = 5, reps: int = 30,
         t1 = clock()
         out_hw = out.shape[2:]
         seconds.append(t1 - t0)
-    return RuntimeSample(tuple(seconds), (h, w), tuple(out_hw))
+    return RuntimeSample(tuple(seconds), (h, w), tuple(out_hw),
+                         parallel.workers())
 
 
 # -- metric evaluation -------------------------------------------------------

@@ -1,32 +1,100 @@
 """Independent row blocks run on the CPUs this process may use.
 
-Each call starts its own threads and joins them before it returns, so no
-thread outlives it and nested calls cannot wait on each other.  A span
-hands its share of the workers down to the calls nested in it, so a span
-of frames that each score in row blocks starts no more threads than there
-are CPUs.  A blocked loop's scratch is one budget per call, which its
-spans split (``over_rows``), so memory does not grow with the CPU count.
-The work must release the GIL to gain (numpy on large blocks,
-``scipy.ndimage``).
+One pool of ``workers() - 1`` daemon threads starts on the first call that
+has more than one span and serves every later call.  A call queues a claim
+per pool thread, runs spans on the calling thread too, and takes any span
+no thread has started yet, so it waits only on spans that are running:
+nested calls cannot deadlock, whatever the pool's size.  A span hands its
+share of the workers down to the calls nested in it, so a span of frames
+that each score in row blocks asks for no more spans than there are CPUs.
+A blocked loop's scratch is one budget per call, which its spans split
+(``over_rows``), so memory does not grow with the CPU count.  The work must
+release the GIL to gain (numpy on large blocks, BLAS, ``scipy.ndimage``).
 """
 from __future__ import annotations
 
 import os
+import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 _share = threading.local()
 
 
-def workers() -> int:
-    """CPUs this thread may use: its span's share inside a span, else the
-    process's affinity set (a ``taskset`` mask counts), or every CPU where
-    the platform has no affinity call."""
-    share = getattr(_share, "workers", 0)
-    if share:
-        return share
+def _cpus() -> int:
+    """The process's affinity set (a ``taskset`` mask counts), or every CPU
+    where the platform has no affinity call."""
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def workers() -> int:
+    """CPUs this thread may use: its span's share inside a span, else every
+    CPU of the process (``_cpus``)."""
+    return getattr(_share, "workers", 0) or _cpus()
+
+
+class _Pool:
+    """``size`` daemon threads, each running the claims queued to it."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.claims = queue.SimpleQueue()
+        for i in range(size):
+            threading.Thread(target=self._serve, name=f"odsr-span-{i}",
+                             daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            self.claims.get()()
+
+
+_pool: _Pool | None = None
+_pool_lock = threading.Lock()
+
+
+def _the_pool() -> _Pool:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = _Pool(_cpus() - 1)
+        return _pool
+
+
+class _Call:
+    """One ``over_blocks`` call's spans, each run by whichever thread
+    claims it first."""
+
+    def __init__(self, run, cuts: list[int], w: int):
+        self.run, self.cuts, self.w = run, cuts, w
+        self.n = len(cuts) - 1
+        self.untaken = iter(range(1, self.n))  # span 0 is the caller's
+        self.errors = [None] * self.n
+        self.left = self.n
+        self.lock = threading.Lock()
+        self.done = threading.Event()
+
+    def span(self, i: int) -> None:
+        outer = getattr(_share, "workers", 0)
+        _share.workers = self.w // self.n + (i < self.w % self.n)
+        try:
+            self.run(self.cuts[i], self.cuts[i + 1])
+        except BaseException as e:  # re-raised on the calling thread
+            self.errors[i] = e
+        finally:
+            _share.workers = outer
+            with self.lock:
+                self.left -= 1
+                if not self.left:
+                    self.done.set()
+
+    def claim(self) -> None:
+        """Run spans no thread has started until none is left."""
+        while True:
+            with self.lock:
+                i = next(self.untaken, None)
+            if i is None:
+                return
+            self.span(i)
 
 
 def over_blocks(count: int, run, most: int | None = None) -> None:
@@ -34,9 +102,10 @@ def over_blocks(count: int, run, most: int | None = None) -> None:
     at most one span per worker and at most ``most``, and return when
     every span is done.
 
-    The first span runs on the calling thread.  An exception from any span
-    is re-raised after all spans have finished.  With one span,
-    ``run(0, count)`` runs inline and no thread starts.
+    The first span runs on the calling thread, which then takes every span
+    the pool has not started.  An exception from any span is re-raised
+    after all spans have finished (the first span's that failed).  With
+    one span, ``run(0, count)`` runs inline and no thread starts.
     """
     w = workers()
     n = min(count, w, most or count)
@@ -44,21 +113,17 @@ def over_blocks(count: int, run, most: int | None = None) -> None:
         if count:
             run(0, count)
         return
-    cuts = [count * i // n for i in range(n + 1)]
-
-    def span(i):
-        outer = getattr(_share, "workers", 0)
-        _share.workers = w // n + (i < w % n)
-        try:
-            run(cuts[i], cuts[i + 1])
-        finally:
-            _share.workers = outer
-
-    with ThreadPoolExecutor(n - 1) as pool:
-        rest = [pool.submit(span, i) for i in range(1, n)]
-        span(0)
-    for future in rest:
-        future.result()
+    call = _Call(run, [count * i // n for i in range(n + 1)], w)
+    pool = _the_pool()
+    for _ in range(min(n - 1, pool.size)):
+        pool.claims.put(call.claim)
+    call.span(0)
+    call.claim()
+    call.done.wait()
+    call.run = None  # a claim still queued keeps no arrays alive
+    for e in call.errors:
+        if e is not None:
+            raise e
 
 
 def shares(rows: int, least: int) -> tuple[int, int]:

@@ -16,6 +16,7 @@ from scipy.special import erf
 
 import conv_oracle
 import safm_oracle
+from odsr import parallel
 from odsr.engine import ops
 from odsr.engine.tensor import Tape, Tensor, backward
 
@@ -347,20 +348,23 @@ class TestConv:
         for a, b in zip(run(), whole):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
-    def test_corr_memory_stays_block_sized(self):
+    def test_corr_memory_stays_block_sized(self, monkeypatch):
         """A thin-input conv stacks its taps one column block at a time: the
         traced peak stays under the output, the padded input and a few
-        blocks, where a full im2col buffer alone would take 39 MB."""
+        blocks, where a full im2col buffer alone would take 39 MB.  Five
+        workers run no more spans than share those few blocks."""
         x = rnd(1, 3, 270, 480, seed=20, dtype=np.float32)
         w = rnd(56, 3, 5, 5, seed=21, dtype=np.float32)
-        tracemalloc.start()
-        try:
-            out = ops._corr(x, w, 1, 2, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        padded = 3 * 274 * 484 * x.itemsize
-        assert peak < out.nbytes + padded + 4 * ops._BLOCK * x.itemsize
+        for count in (1, 5):
+            monkeypatch.setattr(parallel, "workers", lambda: count)
+            tracemalloc.start()
+            try:
+                out = ops._corr(x, w, 1, 2, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            padded = 3 * 274 * 484 * x.itemsize
+            assert peak < out.nbytes + padded + 4 * ops._BLOCK * x.itemsize
         # On a plane smaller than a block the buffers hold only the rows the
         # input has: two of them stay under the input's whole im2col.
         for xs, ws, groups in (((8, 9, 4, 4), (9, 1, 3, 3), 9),

@@ -67,6 +67,12 @@ class TestMeasureRuntime:
         assert sample.lr_hw == (6, 6)
         assert sample.out_hw == (12, 12)
 
+    def test_records_the_worker_count(self, monkeypatch):
+        monkeypatch.setattr(parallel, "workers", lambda: 3)
+        sample = harness.measure_runtime(SleepStub(0), (4, 4), reps=3)
+        assert sample.workers == 3
+        assert harness.RuntimeSample((0.5,), (1, 1), (2, 2)).workers == 1
+
     def test_summary_helper(self):
         sample = harness.RuntimeSample((0.005, 0.006, 0.1), (1, 1), (2, 2))
         assert sample.median == 0.006
@@ -208,17 +214,17 @@ class TestEvaluatePair:
     def test_workers_match_serial(self, monkeypatch):
         # three workers, so four frames take the threaded path on any machine
         monkeypatch.setattr(parallel, "workers", lambda: 3)
-        pools = []
-        real_pool = parallel.ThreadPoolExecutor
-        monkeypatch.setattr(parallel, "ThreadPoolExecutor",
-                            lambda n: pools.append(n) or real_pool(n))
+        calls = []
+        the_pool = parallel._the_pool
+        monkeypatch.setattr(parallel, "_the_pool",
+                            lambda: calls.append(1) or the_pool())
         rng = np.random.default_rng(8)
         ref = [make_frame(rng, 16, 24) for _ in range(4)]
         test = [make_frame(rng, 16, 24) for _ in range(4)]
         threaded = harness.evaluate_pair(ref, test)
-        assert pools == [2]  # three spans, the first on the calling thread
+        assert calls == [1]  # three spans of frames, each map one block
         single = [harness.evaluate_pair([r], [t]) for r, t in zip(ref, test)]
-        assert len(pools) == 1  # a one-frame call scores serially
+        assert len(calls) == 1  # a one-frame call scores serially
         for key in ("ws_psnr", "ws_ssim", "psnr", "ssim"):
             assert getattr(threaded, key) == [
                 getattr(s, key)[0] for s in single]

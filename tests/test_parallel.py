@@ -1,7 +1,8 @@
-"""Row-block spans on several workers: ``parallel.over_blocks`` and
-``over_rows`` themselves, and the SSIM map, the polyphase upscale and the
-4:2:0 colour conversions bit for bit against their oracles, and within
-their memory budgets, at any worker count."""
+"""Row-block spans on several workers: ``parallel.over_blocks``, its pool
+and ``over_rows`` themselves, the SSIM map, the polyphase upscale and the
+4:2:0 colour conversions bit for bit against their oracles, and the conv
+core bit for bit against one worker, and within their memory budgets, at
+any worker count."""
 import sys
 import threading
 import tracemalloc
@@ -12,7 +13,8 @@ import pytest
 import eval_oracle
 import resample_oracle
 from odsr import harness, media, metrics, parallel
-from odsr.engine.tensor import Tensor
+from odsr.engine import ops
+from odsr.engine.tensor import Tape, Tensor, backward
 from odsr.models import resample
 
 
@@ -31,6 +33,19 @@ def workers(request, monkeypatch):
 
 def _bits(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def _adds_only_the_pool(call) -> None:
+    """``call`` leaves at most the pool's ``workers() - 1`` threads (none
+    once an earlier call started the pool), and repeated calls add none."""
+    before = threading.active_count()
+    call()
+    after = threading.active_count()
+    assert 0 <= after - before <= parallel._the_pool().size
+    assert parallel._the_pool().size == parallel._cpus() - 1
+    for _ in range(3):
+        call()
+        assert threading.active_count() == after
 
 
 class TestOverBlocks:
@@ -72,6 +87,7 @@ class TestOverBlocks:
     def test_nested_spans_share_the_workers(self, monkeypatch):
         # a span of a 4-CPU call over two items hands 2 workers down, one
         # over three items hands down 2, 1 and 1; the caller keeps all 4
+        parallel._the_pool()  # sized by the real CPUs, not the mask below
         monkeypatch.setattr(parallel.os, "sched_getaffinity",
                             lambda pid: {0, 1, 2, 3})
         for count, want in ((2, [2, 2]), (3, [2, 1, 1]), (9, [1] * 4)):
@@ -91,11 +107,40 @@ class TestOverBlocks:
                 raise KeyError(b0)
             done.append(b0)
 
-        before = threading.active_count()
-        with pytest.raises(KeyError):
-            parallel.over_blocks(3, run)
-        assert sorted(done) == [b for b in range(3) if b != bad]
-        assert threading.active_count() == before
+        def call():
+            done.clear()
+            with pytest.raises(KeyError):
+                parallel.over_blocks(3, run)
+            assert sorted(done) == [b for b in range(3) if b != bad]
+
+        _adds_only_the_pool(call)
+
+    def test_nested_calls_finish_on_a_one_thread_pool(self, monkeypatch):
+        """Calls nested three deep, each asking for 4 workers, finish on a
+        pool of one thread and run every block once: a caller runs every
+        span no thread has started, so it waits only on running spans."""
+        monkeypatch.setattr(parallel, "workers", lambda: 4)
+        monkeypatch.setattr(parallel, "_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "_pool", None)
+        seen = []
+
+        def level(depth, path):
+            def run(b0, b1):
+                for b in range(b0, b1):
+                    if depth == 2:
+                        seen.append((*path, b))
+                    else:
+                        parallel.over_blocks(5, level(depth + 1, (*path, b)))
+            return run
+
+        outer = threading.Thread(
+            target=parallel.over_blocks, args=(5, level(0, ())), daemon=True)
+        outer.start()
+        outer.join(60)
+        assert not outer.is_alive()
+        assert parallel._pool.size == 1
+        assert sorted(seen) == [(i, j, k) for i in range(5)
+                                for j in range(5) for k in range(5)]
 
 
 class TestOverRows:
@@ -172,10 +217,64 @@ class TestBitwiseAtAnyWorkerCount:
             eval_oracle.yuv420_to_rgb(want).payload
 
 
+def _conv_and_vjps(op, x, w, b):
+    """``op``'s output and the gradients of ``sum(op(x)^2)`` for x, w, b."""
+    ts = [Tensor(a) for a in (x, w, b)]
+    with Tape(wrt=ts) as tape:
+        y = op(*ts)
+        loss = ops.tsum(ops.square(y))
+    grads = backward(tape, loss)
+    return [y.data, *(grads[t] for t in ts)]
+
+
+class TestConvAtAnyWorkerCount:
+    """The conv core's spans take whole blocks of the one-worker partition,
+    and a 1x1 product's pieces do not depend on the worker count, so every
+    output and VJP is bitwise against one worker.  A small ``_BLOCK`` gives
+    a batch-8 32x32 plane several blocks, more than the workers or fewer."""
+
+    @pytest.mark.parametrize("transpose, xs, ws, s, p, g", [
+        (False, (8, 12, 32, 32), (12, 12, 3, 3), 1, 1, 1),  # stacked taps
+        (False, (8, 3, 32, 32), (16, 3, 5, 5), 1, 2, 1),  # thin input
+        (False, (8, 24, 32, 32), (8, 24, 3, 3), 1, 1, 1),  # tap accumulation
+        (False, (8, 12, 32, 32), (12, 6, 3, 3), 2, 1, 2),  # strided, grouped
+        (False, (8, 12, 32, 32), (12, 1, 3, 3), 1, 1, 12),  # depthwise
+        (False, (2, 48, 76, 110), (48, 48, 1, 1), 1, 0, 1),  # 1x1, tail
+        (True, (8, 12, 32, 32), (12, 12, 3, 3), 1, 1, 1),
+        (True, (8, 12, 16, 16), (12, 6, 4, 4), 2, 1, 1),
+        (True, (2, 48, 76, 110), (48, 48, 1, 1), 1, 0, 1)])
+    def test_conv_and_vjps(self, workers, monkeypatch, transpose, xs, ws,
+                           s, p, g):
+        monkeypatch.setattr(ops, "_BLOCK", 1 << 13)
+        rng = np.random.default_rng(sum(xs) + sum(ws))
+        x = rng.standard_normal(xs, dtype=np.float32)
+        w = rng.standard_normal(ws, dtype=np.float32) * 0.1
+        b = rng.standard_normal(ws[transpose], dtype=np.float32)
+
+        def op(tx, tw, tb):
+            if transpose:
+                return ops.conv_transpose2d(tx, tw, tb, s, p, s - 1)
+            return ops.conv2d(tx, ops.ConvParams(tw, tb, s, p, g))
+
+        got = _conv_and_vjps(op, x, w, b)
+        with monkeypatch.context() as m:
+            m.setattr(parallel, "workers", lambda: 1)
+            want = _conv_and_vjps(op, x, w, b)
+        for a, e in zip(got, want):
+            np.testing.assert_array_equal(a.view(np.int32), e.view(np.int32))
+        if ws[2:] == (1, 1):
+            # pieces of 512 columns and a last one of 680 sum as one
+            # product over each image does
+            whole = np.matmul(w.reshape(ws[:2]), x.reshape(*xs[:2], -1))
+            np.testing.assert_array_equal(
+                ops._corr(x, w, 1, 0, 1).reshape(whole.shape), whole)
+
+
 @pytest.mark.parametrize("bad", [0, 16])
 def test_encode_raises_a_block_error_unchanged(monkeypatch, bad):
     """A ``ValueError`` from one block's rows leaves ``encode_yuv420`` as
-    itself, so the CLI still exits 2, and every span's thread is gone."""
+    itself, so the CLI still exits 2, and the spans ran on the pool's
+    threads and started no others."""
     # three spans of one 8-row block: rows 0 on the calling thread, 16 on
     # the pool
     monkeypatch.setattr(parallel, "workers", lambda: 3)
@@ -186,10 +285,11 @@ def test_encode_raises_a_block_error_unchanged(monkeypatch, bad):
             raise ValueError(f"bad rows at {i}")
         return np.zeros((3, k, 16))
 
-    before = threading.active_count()
-    with pytest.raises(ValueError, match=f"bad rows at {bad}"):
-        media.encode_yuv420(16, 24, rgb_rows)
-    assert threading.active_count() == before
+    def call():
+        with pytest.raises(ValueError, match=f"bad rows at {bad}"):
+            media.encode_yuv420(16, 24, rgb_rows)
+
+    _adds_only_the_pool(call)
 
 
 
