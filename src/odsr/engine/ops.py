@@ -24,9 +24,9 @@ from .tensor import Tensor, active_tape
 # _BLOCK / max(co/g, taps*ci/g) columns it grows to one row, and at most the
 # rows the input has, so small planes get small buffers.
 _BLOCK = 1 << 17
-# A correlation's spans share a budget of this many _BLOCKs of block
-# scratch (two spans of a typical block), so memory does not grow with the
-# CPU count.
+# A kernel's spans share a budget of this many _BLOCKs of block scratch (two
+# spans of a typical correlation block, weight-gradient operand or pair of
+# GELU rows), so memory does not grow with the CPU count.
 _SPAN_BLOCKS = 4
 # A 1x1 product runs in column pieces a multiple of _PIECE_ALIGN wide, each
 # of at least _PIECE_MACS multiply-adds: OpenBLAS runs such products in its
@@ -35,9 +35,15 @@ _SPAN_BLOCKS = 4
 # weight's kernel sum the last few columns of a plane in another order.
 _PIECE_ALIGN = 64
 _PIECE_MACS = 1 << 20
-# Elements per block of the float32 GELU kernel: its four scratch rows stay
-# in cache across the 27 passes of the rational erf.
-_GELU_BLOCK = 1 << 15
+# Elements per block of the float32 GELU kernel, whose 29 passes each run
+# long enough without the GIL to cover the hand-off between two spans.
+# Medians of two runs on a 2-vCPU Xeon VM, BLAS on one thread, one span
+# against two: 32K blocks ran a (1, 72, 18, 480) band in 3.3-3.5 against
+# 5.0-5.6 ms, 64K blocks in 3.3-3.5 against 2.9-3.4 ms, 128K blocks in
+# 3.4-3.5 against 2.4-3.0 ms, and a (1, 72, 270, 480) x4 frame in 58-60
+# against 37-40 ms.  A serial kernel with four scratch rows and 27 passes
+# took 3.1-3.3 and 51-52 ms: one span trails it by 3-17%.
+_GELU_BLOCK = 1 << 17
 
 # Leaky ReLU's negative slope; max(x, slope * x) needs 0 < slope < 1.
 _LEAKY_SLOPE = 0.1
@@ -247,35 +253,56 @@ def _horner(t2: np.ndarray, coeffs: np.ndarray, out: np.ndarray) -> None:
         out += c
 
 
+def _erf_arg(x: np.ndarray, out: np.ndarray) -> None:
+    """out = clip(x/√2, ±4), the rational erf's argument."""
+    np.multiply(x, np.float32(_INV_SQRT2), out=out)
+    np.clip(out, -4.0, 4.0, out=out)
+
+
 def _gelu_f32(x: np.ndarray, keep_d: bool
               ) -> tuple[np.ndarray, np.ndarray | None]:
     """(x * Phi(x), the derivative or None) of float32 ``x`` with the
     rational erf.
 
-    Walks the flat array in cache-sized blocks; every pass is an in-place
-    ufunc into scratch rows, so no full-size temporary is made.  The
-    derivative (:func:`_gelu_slope`) is made at full size only when
-    ``keep_d`` (a VJP will need it), from each block's Phi.
+    Spans of the flat array run on the workers (``parallel.over_blocks``),
+    each an equal contiguous share that it walks in cache-sized blocks;
+    every pass is an in-place ufunc, so no full-size temporary is made.  A
+    span keeps two scratch rows: Q(t²) goes into the output block, P(t²)
+    over t, and t is computed again for P·t.  The derivative
+    (:func:`_gelu_slope`) is made at full size only when ``keep_d`` (a VJP
+    will need it), from each block's Phi; its block holds t² and then t
+    until then, so a span keeps one scratch row.  Every element takes the
+    same passes wherever its block starts, so the result is bitwise at any
+    worker count.
     """
     flat = x.reshape(-1)
     out = np.empty_like(flat)
-    t, t2, p, q = (np.empty_like(flat[:_GELU_BLOCK]) for _ in range(4))
     d = np.empty_like(flat) if keep_d else None
-    for c0 in range(0, flat.size, _GELU_BLOCK):
-        c1 = min(c0 + _GELU_BLOCK, flat.size)
-        xb, m = flat[c0:c1], c1 - c0
-        tb, t2b, pb, qb = t[:m], t2[:m], p[:m], q[:m]
-        np.multiply(xb, np.float32(_INV_SQRT2), out=tb)
-        np.clip(tb, -4.0, 4.0, out=tb)
-        np.multiply(tb, tb, out=t2b)
-        _horner(t2b, _ERF_HALF_P, pb)
-        pb *= tb
-        _horner(t2b, _ERF_Q, qb)
-        np.divide(pb, qb, out=tb)  # t is spent by now: Phi goes there
-        tb += 0.5
-        np.multiply(xb, tb, out=out[c0:c1])
-        if d is not None:
-            _gelu_slope(xb, tb, d[c0:c1])
+    rows = 1 if keep_d else 2
+
+    def run(e0, e1):
+        t = np.empty_like(flat[:min(_GELU_BLOCK, e1 - e0)])
+        u = np.empty_like(t) if d is None else None
+        for c0 in range(e0, e1, _GELU_BLOCK):
+            c1 = min(c0 + _GELU_BLOCK, e1)
+            xb, ob, m = flat[c0:c1], out[c0:c1], c1 - c0
+            tb = t[:m]
+            ub = u[:m] if d is None else d[c0:c1]
+            _erf_arg(xb, tb)
+            np.multiply(tb, tb, out=ub)  # t²
+            _horner(ub, _ERF_Q, ob)
+            _horner(ub, _ERF_HALF_P, tb)
+            _erf_arg(xb, ub)  # t again
+            tb *= ub
+            np.divide(tb, ob, out=tb)  # Phi - 1/2
+            tb += 0.5
+            np.multiply(xb, tb, out=ob)
+            if d is not None:
+                _gelu_slope(xb, tb, ub)
+
+    parallel.over_blocks(flat.size, run, max(1, min(
+        flat.size // _GELU_BLOCK,
+        _SPAN_BLOCKS * _BLOCK // (rows * _GELU_BLOCK))))
     return out.reshape(x.shape), None if d is None else d.reshape(x.shape)
 
 
@@ -300,10 +327,10 @@ def _gelu_slope(x: np.ndarray, phi: np.ndarray, out: np.ndarray) -> None:
 def gelu(a: Tensor) -> Tensor:
     """Exact-erf GELU: x * Phi(x).
 
-    float32 input uses the blocked rational erf of :func:`_gelu_f32`, and
-    float64 input scipy's full-precision erf.  Under a tape the forward
-    saves only the derivative :func:`_gelu_slope`, not x or Phi, and the
-    VJP is ``d * g``.
+    float32 input uses the blocked rational erf of :func:`_gelu_f32`, in
+    spans on the workers, and float64 input scipy's full-precision erf.
+    Under a tape the forward saves only the derivative :func:`_gelu_slope`,
+    not x or Phi, and the VJP is ``d * g``.
     """
     x = a.data
     keep_d = _tape_for(a) is not None
@@ -521,9 +548,18 @@ def _pointwise(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
 
 def _corr_wgrad(x: np.ndarray, gout: np.ndarray, kh: int, kw: int,
                 stride: int, padding: int, groups: int) -> np.ndarray:
-    """Weight gradient of :func:`_corr`, with the taps grouped as there: one
-    GEMM per tap over all columns, or one GEMM per block-sized stacked
-    buffer, accumulated over the blocks."""
+    """Weight gradient of :func:`_corr`, with the taps grouped as there.
+
+    Unstacked taps take one GEMM each over all columns, and spans of taps
+    run on the workers (depthwise taps, g dot products each, on one).
+    Stacked taps take one GEMM per block-sized stacked buffer, summed over
+    the blocks in rounds: each of a round's spans takes a run of blocks and
+    writes each block's product into its own slot, and the caller adds the
+    slots in block order, the left fold one span makes.  A span's slots
+    take no more room than its operand, and the spans' operands and slots
+    share ``_SPAN_BLOCKS`` blocks.  So the result is bitwise at any worker
+    count.
+    """
     n, ci, h, wd = x.shape
     _, co, oh, ow = gout.shape
     s, g = stride, groups
@@ -534,22 +570,45 @@ def _corr_wgrad(x: np.ndarray, gout: np.ndarray, kh: int, kw: int,
     gz[:, :, :oh, :ow] = gout.transpose(1, 0, 2, 3)
     length = (n - 1) * hq * wq + (oh - 1) * wq + ow
     gm = gz.reshape(g, co // g, -1)[:, :, :length]
+    gmt = gm.transpose(0, 2, 1)
     dtype = np.result_type(x, gout)
     stacked, block = _stacking(cig, co // g, kh * kw, g)
-    block = min(block, length) if stacked else length
-    col = np.empty((g, stacked, block), dtype=flat.dtype) if stacked else None
-    # operand @ goutᵀ: [1 or taps, g, taps*ci/g or ci/g, co/g]
-    parts = np.empty((1 if stacked else kh * kw, g, stacked or cig, co // g),
-                     dtype=dtype)
-    tmp = np.empty_like(parts[0]) if stacked else None
-    for c0 in range(0, length, block):
-        c1 = min(c0 + block, length)
-        srcs = _operands(flat, col, kh, kw, s, wq, c0, c1)
-        for dst, src in zip(parts, srcs):
-            np.matmul(src, gm[:, :, c0:c1].transpose(0, 2, 1),
-                      out=tmp if c0 else dst)
-            if c0:
-                dst += tmp
+    # operand @ goutᵀ: [taps or 1, g, ci/g or taps*ci/g, co/g]
+    if not stacked:
+        parts = np.empty((kh * kw, g, cig, co // g), dtype=dtype)
+        srcs = _operands(flat, None, kh, kw, s, wq, 0, length)
+
+        def taps(t0, t1):
+            for t in range(t0, t1):
+                np.matmul(srcs[t], gmt, out=parts[t])
+
+        parallel.over_blocks(kh * kw, taps, 1 if cig == 1 else None)
+    else:
+        block = min(block, length)
+        count = -(-length // block)
+        room, slot = g * stacked * block, g * stacked * (co // g)
+        spans = min(parallel.workers(), count,
+                    max(1, _SPAN_BLOCKS * _BLOCK // (2 * room)))
+        window = min(count, spans * max(1, room // slot))  # blocks a round
+        slots = np.empty((window, g, stacked, co // g), dtype=dtype)
+
+        def blocks(b0, b1):
+            col = np.empty((g, stacked, block), dtype=flat.dtype)
+            for b in range(b0, b1):
+                c0, c1 = b * block, min(b * block + block, length)
+                (src,) = _operands(flat, col, kh, kw, s, wq, c0, c1)
+                np.matmul(src, gmt[:, c0:c1], out=slots[b % window])
+
+        parts = np.empty_like(slots[:1])
+        for r0 in range(0, count, window):
+            r1 = min(r0 + window, count)
+            parallel.over_blocks(
+                r1 - r0, lambda b0, b1: blocks(r0 + b0, r0 + b1), spans)
+            for b in range(r0, r1):
+                if b:
+                    parts[0] += slots[b - r0]
+                else:
+                    parts[0] = slots[0]
     gw = np.empty((g, co // g, cig, kh * kw), dtype=dtype)
     gw[..., _tap_order(kh, kw, s)] = parts.transpose(1, 0, 2, 3).reshape(
         g, -1, cig, co // g).transpose(0, 3, 2, 1)

@@ -299,8 +299,9 @@ class Ffc:
 
     def forward(self, x: Tensor, P, path: str) -> Tensor:
         spatial = _conv(x, P, f"{path}.spatial", padding=1)
-        z = ops.fft2_rc(x)
-        z = ops.gelu(_conv(z, P, f"{path}.freq"))
+        # no name holds the packed spectrum, so without a tape it is freed
+        # before the GELU runs
+        z = ops.gelu(_conv(ops.fft2_rc(x), P, f"{path}.freq"))
         return ops.add(spatial, ops.ifft2_rc(z))
 
     def flops(self, s: Shape) -> tuple[int, Shape]:

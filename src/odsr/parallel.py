@@ -10,9 +10,17 @@ that each score in row blocks asks for no more spans than there are CPUs.
 A blocked loop's scratch is one budget per call, which its spans split
 (``over_rows``), so memory does not grow with the CPU count.  The work must
 release the GIL to gain (numpy on large blocks, BLAS, ``scipy.ndimage``).
+
+Spans run the SSIM map, the polyphase upscale, the 4:2:0 conversions,
+scoring over frames, and in the engine the conv core's GEMM blocks, the
+weight gradient and the float32 GELU; the FFTs stay on the calling thread.
+Each span runs in its own copy of the caller's ``contextvars`` context,
+since threads do not inherit it: numpy keeps ``np.errstate`` there, so
+every span warns, raises or ignores as the caller asked.
 """
 from __future__ import annotations
 
+import contextvars
 import os
 import queue
 import threading
@@ -66,6 +74,7 @@ class _Call:
 
     def __init__(self, run, cuts: list[int], w: int):
         self.run, self.cuts, self.w = run, cuts, w
+        self.context = contextvars.copy_context()
         self.n = len(cuts) - 1
         self.untaken = iter(range(1, self.n))  # span 0 is the caller's
         self.errors = [None] * self.n
@@ -77,7 +86,8 @@ class _Call:
         outer = getattr(_share, "workers", 0)
         _share.workers = self.w // self.n + (i < self.w % self.n)
         try:
-            self.run(self.cuts[i], self.cuts[i + 1])
+            # a context runs on one thread at a time: a copy per span
+            self.context.copy().run(self.run, self.cuts[i], self.cuts[i + 1])
         except BaseException as e:  # re-raised on the calling thread
             self.errors[i] = e
         finally:

@@ -16,6 +16,7 @@ from scipy.special import erf
 
 import conv_oracle
 import safm_oracle
+from gelu_oracle import GELU_EDGES, gelu_vjp_oracle, rational_phi
 from odsr import parallel
 from odsr.engine import ops
 from odsr.engine.tensor import Tape, Tensor, backward
@@ -162,7 +163,9 @@ class TestGeluFloat32Parity:
 
     def test_every_block_matches_oracle(self):
         # five blocks of distinct values: a misplaced block would show
-        self.check(3 * rnd(3, 5, 97, 101, seed=3, dtype=np.float32))
+        x = 3 * rnd(3, 5, 97, 467, seed=3, dtype=np.float32)
+        assert 5 < x.size / ops._GELU_BLOCK < 6
+        self.check(x)
 
     def test_special_values(self):
         x = np.array(SPECIAL, np.float32)
@@ -171,40 +174,6 @@ class TestGeluFloat32Parity:
         # -inf * Phi(-inf) is -inf * 0, as in the float64 path
         np.testing.assert_array_equal(y, [0.0, 0.0, np.inf, np.nan, np.nan])
         assert np.signbit(y[1])
-
-
-def rational_phi(x):
-    """Phi of float32 ``x`` as the forward's rational erf computes it, one
-    full-size step at a time: t = clip(x/√2, ±4), Phi = t·P(t²)/Q(t²) + ½."""
-    t = np.clip(x * np.float32(ops._INV_SQRT2), -4.0, 4.0)
-    t2 = t * t
-    p, q = np.empty_like(t), np.empty_like(t)
-    ops._horner(t2, ops._ERF_HALF_P, p)
-    p *= t
-    ops._horner(t2, ops._ERF_Q, q)
-    phi = p / q
-    phi += 0.5
-    return phi
-
-
-def gelu_vjp_oracle(x, phi, g):
-    """float32 GELU VJP g * (phi + x * exp(-0.5 * x * x) * c), one
-    full-size step at a time, as numpy evaluates that one expression on
-    arrays past its temporary-elision size: each temporary is reused in
-    place, so ``phi + t`` and ``g * t`` run as ``t += phi`` and ``t *= g``.
-    Which of two NaNs a loop returns depends on that operand order."""
-    t = -0.5 * x
-    t *= x
-    dens = np.exp(t)
-    dens *= np.float32(1.0 / np.sqrt(2.0 * np.pi))
-    s = x * dens
-    s += phi
-    s *= g
-    return s
-
-
-GELU_EDGES = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1e-40, -1e-45,
-              6.0, -6.0, 1e4, -1e4]  # past 4√2 the rational erf is clamped
 
 
 class TestGeluVjpBitwise:
@@ -227,12 +196,16 @@ class TestGeluVjpBitwise:
         arrays(np.float32, n, elements=st.floats(width=32)
                | st.sampled_from(GELU_EDGES)) for _ in range(2)))))
     def test_matches_oracle(self, xg):
-        # sizes past 32K elements end in a partial block
+        # within one block; test_edges_at_block_ends and
+        # tests/test_parallel.py put values at block and span ends
         self.check(*xg)
 
     @pytest.mark.parametrize("n", [1, ops._GELU_BLOCK - 1, ops._GELU_BLOCK,
                                    2 * ops._GELU_BLOCK + 5])
-    def test_edges_at_block_ends(self, n):
+    def test_edges_at_block_ends(self, monkeypatch, n):
+        # one span walks the whole array, so its blocks start at multiples
+        # of the block size (tests/test_parallel.py covers span starts)
+        monkeypatch.setattr(parallel, "workers", lambda: 1)
         edges = np.array(GELU_EDGES, np.float32)
         assert np.signbit(edges[1]) and np.isnan(edges[1])  # a -NaN
         x = 5 * rnd(n, seed=40, dtype=np.float32)

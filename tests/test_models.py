@@ -210,6 +210,33 @@ class TestDescriptorWalk:
         assert all(a is b for (_, a), (_, b) in zip(ran, want))
 
 
+def test_ffc_frees_the_spectrum_before_its_gelu(monkeypatch):
+    """Without a tape, an Ffc forward on an x4 2K band holds the spatial
+    conv's c-channel output and the frequency conv's 2c-channel output when
+    its GELU starts, and no longer the 2c-channel packed spectrum."""
+    c, h, w = 36, 18, 480
+    plane = c * h * w * 4  # one c-channel float32 map
+    ffc = blocks.Ffc(c)
+    rng = np.random.default_rng(5)
+    params = {p.name: Tensor(0.1 * rng.standard_normal(
+        p.shape, dtype=np.float32)) for p in ffc.specs(c, "ffc")[0]}
+    x = Tensor(rng.standard_normal((1, c, h, w), dtype=np.float32))
+    held, gelu = [], blocks.ops.gelu
+
+    def traced_gelu(a):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return gelu(a)
+
+    monkeypatch.setattr(blocks.ops, "gelu", traced_gelu)
+    ffc.forward(x, params, "ffc")  # first-call caches stay out of the count
+    tracemalloc.start()
+    try:
+        ffc.forward(x, params, "ffc")
+    finally:
+        tracemalloc.stop()
+    assert 3 * plane <= held[-1] < 4 * plane, held[-1] / plane
+
+
 # count_flops at the 2K LR size (540x960 at x2, 270x480 at x4)
 FLOPS_2K = {
     ("athena", 2): 26968334400, ("athena", 4): 12032874000,

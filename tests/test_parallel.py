@@ -1,8 +1,8 @@
 """Row-block spans on several workers: ``parallel.over_blocks``, its pool
-and ``over_rows`` themselves, the SSIM map, the polyphase upscale and the
-4:2:0 colour conversions bit for bit against their oracles, and the conv
-core bit for bit against one worker, and within their memory budgets, at
-any worker count."""
+and ``over_rows`` themselves, the SSIM map, the polyphase upscale, the
+4:2:0 colour conversions and the float32 GELU bit for bit against their
+oracles, and the conv core with its weight gradient bit for bit against
+one worker, and within their memory budgets, at any worker count."""
 import sys
 import threading
 import tracemalloc
@@ -12,6 +12,7 @@ import pytest
 
 import eval_oracle
 import resample_oracle
+from gelu_oracle import GELU_EDGES, gelu_vjp_oracle, rational_phi
 from odsr import harness, media, metrics, parallel
 from odsr.engine import ops
 from odsr.engine.tensor import Tape, Tensor, backward
@@ -142,6 +143,31 @@ class TestOverBlocks:
         assert sorted(seen) == [(i, j, k) for i in range(5)
                                 for j in range(5) for k in range(5)]
 
+    def test_spans_run_in_the_callers_context(self, monkeypatch):
+        """numpy's error state lives in a context variable, which threads do
+        not inherit: a span on a pool thread sees the caller's state, and a
+        state a span sets stays in that span."""
+        monkeypatch.setattr(parallel, "workers", lambda: 2)
+        monkeypatch.setattr(parallel, "_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "_pool", None)
+        pool_ran = threading.Event()
+        seen = {}
+
+        def run(b0, b1):
+            if b0:
+                pool_ran.set()
+            else:  # the caller holds span 0 until the pool thread runs 1
+                assert pool_ran.wait(60)
+            seen[b0] = threading.current_thread().name, np.geterr()
+            np.seterr(all="warn")
+
+        with np.errstate(invalid="ignore", over="raise"):
+            state = np.geterr()
+            parallel.over_blocks(2, run)
+            assert np.geterr() == state
+        assert seen[1][0] == "odsr-span-0"
+        assert seen[0][1] == seen[1][1] == state
+
 
 class TestOverRows:
     @pytest.mark.parametrize("n, rows, least, want", [
@@ -268,6 +294,129 @@ class TestConvAtAnyWorkerCount:
             whole = np.matmul(w.reshape(ws[:2]), x.reshape(*xs[:2], -1))
             np.testing.assert_array_equal(
                 ops._corr(x, w, 1, 0, 1).reshape(whole.shape), whole)
+
+    @pytest.mark.parametrize("xs, ws, s, p, g", [
+        ((8, 12, 32, 32), (12, 12, 3, 3), 1, 1, 1),  # stacked taps
+        ((8, 24, 32, 32), (8, 24, 3, 3), 1, 1, 1),  # one product per tap
+        ((8, 12, 32, 32), (12, 1, 3, 3), 1, 1, 12),  # depthwise
+        ((2, 48, 76, 110), (48, 48, 1, 1), 1, 0, 1),  # 1x1
+        ((8, 12, 32, 32), (12, 6, 3, 3), 2, 1, 2),  # strided, grouped
+        ((8, 3, 32, 32), (12, 3, 4, 4), 2, 1, 1)])  # a transpose's, thin
+    def test_corr_wgrad(self, workers, monkeypatch, xs, ws, s, p, g):
+        # the stacked cases run 124 and 53 blocks in rounds of up to 12,
+        # the last round short
+        monkeypatch.setattr(ops, "_BLOCK", 1 << 13)
+        rng = np.random.default_rng(sum(xs) + sum(ws))
+        x = rng.standard_normal(xs, dtype=np.float32)
+        oh, ow = ops._geometry(*xs[2:], *ws[2:], s, p)[:2]
+        gout = rng.standard_normal((xs[0], ws[0], oh, ow), dtype=np.float32)
+        got = ops._corr_wgrad(x, gout, *ws[2:], s, p, g)
+        monkeypatch.setattr(parallel, "workers", lambda: 1)
+        want = ops._corr_wgrad(x, gout, *ws[2:], s, p, g)
+        assert got.shape == ws
+        np.testing.assert_array_equal(got.view(np.int32), want.view(np.int32))
+
+
+class TestGeluAtAnyWorkerCount:
+    """The float32 GELU's spans take equal shares of the flat array and walk
+    them in blocks, so the forward and its VJP stay bit for bit against the
+    full-size oracles, with edge values at the start of every span and of
+    every block in it, at any worker count."""
+
+    @pytest.mark.parametrize("keep_d", [False, True])
+    @pytest.mark.parametrize("n", [999, 2001, 5007, 12_345])
+    def test_forward_and_vjp(self, workers, monkeypatch, keep_d, n):
+        block = 1000
+        monkeypatch.setattr(ops, "_GELU_BLOCK", block)
+        rng = np.random.default_rng(n)
+        x = 5 * rng.standard_normal(n, dtype=np.float32)
+        g = rng.standard_normal(n, dtype=np.float32)
+        edges = np.array(GELU_EDGES, np.float32)
+        pairs = np.array(np.meshgrid(edges, edges)).reshape(2, -1)
+        for spans in range(1, 6):  # every span start of one to five spans
+            cuts = [n * i // spans for i in range(spans + 1)]
+            for at in (a for e0, e1 in zip(cuts, cuts[1:])
+                       for a in range(e0, e1, block)):
+                m = min(pairs.shape[1], n - at)
+                x[at:at + m], g[at:at + m] = pairs[:, :m]
+        over_blocks, seen = parallel.over_blocks, []
+        monkeypatch.setattr(parallel, "over_blocks", lambda count, run, most:
+                            over_blocks(count, lambda e0, e1: (
+                                seen.append(e0), run(e0, e1)), most))
+        with np.errstate(all="ignore"):
+            val, d = ops._gelu_f32(x, keep_d)
+            phi = rational_phi(x)
+            want = x * phi
+            want_g = gelu_vjp_oracle(x, phi, g)
+            got_g = None if d is None else d * g
+        assert len(seen) == max(1, min(workers, n // block))
+        assert val.view(np.int32).tobytes() == want.view(np.int32).tobytes()
+        if keep_d:
+            assert got_g.view(np.int32).tobytes() == \
+                want_g.view(np.int32).tobytes()
+        else:
+            assert d is None
+
+
+@pytest.mark.parametrize("count", [1, 5])
+def test_span_scratch_shares_one_budget(monkeypatch, count):
+    """The spans of a thin-input correlation, a band-sized GELU and a
+    training step's stacked weight gradient keep their block buffers,
+    scratch rows, operands and per-block products within ``_SPAN_BLOCKS``
+    blocks at any worker count, on top of what one call holds anyway.  A
+    pool sized for ``count`` CPUs runs each span on a thread of its own,
+    and each span, once its scratch is made, waits for all the others, so
+    every span's scratch is held at once."""
+    monkeypatch.setattr(parallel, "workers", lambda: count)
+    monkeypatch.setattr(parallel, "_cpus", lambda: count)
+    monkeypatch.setattr(parallel, "_pool", None)
+    over_blocks, waits = parallel.over_blocks, {}
+
+    def all_at_once(n, run, most=None):
+        barrier = threading.Barrier(min(n, count, most or n), timeout=60)
+
+        def span(b0, b1):
+            waits[threading.get_ident()] = barrier
+            run(b0, b1)
+
+        over_blocks(n, span, most)
+
+    def after_scratch(f):  # the first call a span makes past its scratch
+        def wait_then(*args):
+            barrier = waits.pop(threading.get_ident(), None)
+            if barrier is not None:
+                barrier.wait()
+            return f(*args)
+        return wait_then
+
+    def peak(f, *args):
+        tracemalloc.start()
+        try:
+            f(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(parallel, "over_blocks", all_at_once)
+    monkeypatch.setattr(ops, "_horner", after_scratch(ops._horner))
+    monkeypatch.setattr(ops, "_operands", after_scratch(ops._operands))
+    # and 64 KiB for the calls' own objects
+    budget = ops._SPAN_BLOCKS * ops._BLOCK * 4 + (64 << 10)
+    rng = np.random.default_rng(count)
+    x = rng.standard_normal((1, 3, 270, 480), dtype=np.float32)
+    w = rng.standard_normal((56, 3, 5, 5), dtype=np.float32)
+    # the output and the padded input
+    assert peak(ops._corr, x, w, 1, 2, 1) < \
+        (56 * 270 * 480 + 3 * 274 * 484) * 4 + budget
+    x = rng.standard_normal((1, 72, 18, 480), dtype=np.float32)
+    for keep_d in (False, True):
+        assert peak(ops._gelu_f32, x, keep_d) < \
+            (1 + keep_d) * x.nbytes + budget
+    x = rng.standard_normal((8, 36, 32, 32), dtype=np.float32)
+    gout = rng.standard_normal((8, 72, 32, 32), dtype=np.float32)
+    # the padded input's phase buffer and the padded gradient
+    assert peak(ops._corr_wgrad, x, gout, 3, 3, 1, 1, 1) < \
+        (36 + 72) * 8 * 34 * 34 * 4 + budget
 
 
 @pytest.mark.parametrize("bad", [0, 16])
