@@ -24,15 +24,14 @@ from .tensor import Tensor, active_tape
 # _BLOCK / max(co/g, taps*ci/g) columns it grows to one row, and at most the
 # rows the input has, so small planes get small buffers.
 _BLOCK = 1 << 17
-# A kernel's spans share a budget of this many _BLOCKs of block scratch (two
-# spans of a typical correlation block, weight-gradient operand or pair of
-# GELU rows), so memory does not grow with the CPU count.
-_SPAN_BLOCKS = 4
 # A 1x1 product runs in column pieces a multiple of _PIECE_ALIGN wide, each
 # of at least _PIECE_MACS multiply-adds: OpenBLAS runs such products in its
 # general kernel, which sums every column as one product over the plane
-# does.  Its small-matrix kernel (up to 100^3 multiply-adds) and a one-row
-# weight's kernel sum the last few columns of a plane in another order.
+# does in float32, and in float64 with BLAS on one thread (on OpenBLAS's
+# own threads a float64 56x432x9642 product in pieces differed from one
+# product in its last 2 columns).  Its small-matrix kernel (up to 100^3
+# multiply-adds) and a one-row weight's kernel sum the last few columns of
+# a plane in another order.
 _PIECE_ALIGN = 64
 _PIECE_MACS = 1 << 20
 # Elements per block of the float32 GELU kernel, whose 29 passes each run
@@ -300,9 +299,9 @@ def _gelu_f32(x: np.ndarray, keep_d: bool
             if d is not None:
                 _gelu_slope(xb, tb, ub)
 
-    parallel.over_blocks(flat.size, run, max(1, min(
+    parallel.over_blocks(flat.size, run, min(
         flat.size // _GELU_BLOCK,
-        _SPAN_BLOCKS * _BLOCK // (rows * _GELU_BLOCK))))
+        parallel.SCRATCH // (rows * _GELU_BLOCK * flat.itemsize)))
     return out.reshape(x.shape), None if d is None else d.reshape(x.shape)
 
 
@@ -471,7 +470,7 @@ def _corr(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
     (tap accumulation).  Depthwise groups (one input channel each) use a
     broadcast multiply in place of the matmul.  Spans of whole blocks run
     on the workers (``parallel.over_blocks``), each with its own scratch
-    and at most as many as share ``_SPAN_BLOCKS`` blocks' worth; depthwise
+    and at most as many as keep it within ``parallel.SCRATCH``; depthwise
     blocks run on one.  No block's size depends on the worker count, so
     the output is bitwise at any worker count.
     """
@@ -521,14 +520,16 @@ def _corr(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
     # depthwise blocks are broadcast multiplies that hold the GIL
     scratch = g * (co // g * (1 + (len(wt) > 1)) + stacked) * rows * wq
     parallel.over_blocks(-(-last // rows), run, 1 if cig == 1 else
-                         max(1, _SPAN_BLOCKS * _BLOCK // scratch))
+                         parallel.SCRATCH // (scratch * dtype.itemsize))
     return out
 
 
 def _pointwise(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
     """``out[m] = w @ x[m]`` over flat pixels, in column pieces on the
     workers.  The pieces do not depend on the worker count, and a plane's
-    last piece takes its tail, so no piece is narrower than the others."""
+    last piece takes its tail, so no piece is narrower than the others.
+    The output equals one product per image in float32, and in float64
+    with BLAS on one thread (see ``_PIECE_ALIGN``)."""
     n, ci = x.shape[:2]
     co = len(w)
     xf, of = x.reshape(n, ci, -1), out.reshape(n, co, -1)
@@ -555,10 +556,10 @@ def _corr_wgrad(x: np.ndarray, gout: np.ndarray, kh: int, kw: int,
     Stacked taps take one GEMM per block-sized stacked buffer, summed over
     the blocks in rounds: each of a round's spans takes a run of blocks and
     writes each block's product into its own slot, and the caller adds the
-    slots in block order, the left fold one span makes.  A span's slots
-    take no more room than its operand, and the spans' operands and slots
-    share ``_SPAN_BLOCKS`` blocks.  So the result is bitwise at any worker
-    count.
+    slots in block order, the left fold one span makes.  The spans'
+    operands take half of ``parallel.SCRATCH``, and a round's slots with
+    the running sum the other half.  So the result is bitwise at any
+    worker count.
     """
     n, ci, h, wd = x.shape
     _, co, oh, ow = gout.shape
@@ -587,9 +588,8 @@ def _corr_wgrad(x: np.ndarray, gout: np.ndarray, kh: int, kw: int,
         block = min(block, length)
         count = -(-length // block)
         room, slot = g * stacked * block, g * stacked * (co // g)
-        spans = min(parallel.workers(), count,
-                    max(1, _SPAN_BLOCKS * _BLOCK // (2 * room)))
-        window = min(count, spans * max(1, room // slot))  # blocks a round
+        half = parallel.SCRATCH // 2 // dtype.itemsize
+        window = min(count, max(1, half // slot - 1))  # blocks a round
         slots = np.empty((window, g, stacked, co // g), dtype=dtype)
 
         def blocks(b0, b1):
@@ -603,7 +603,7 @@ def _corr_wgrad(x: np.ndarray, gout: np.ndarray, kh: int, kw: int,
         for r0 in range(0, count, window):
             r1 = min(r0 + window, count)
             parallel.over_blocks(
-                r1 - r0, lambda b0, b1: blocks(r0 + b0, r0 + b1), spans)
+                r1 - r0, lambda b0, b1: blocks(r0 + b0, r0 + b1), half // room)
             for b in range(r0, r1):
                 if b:
                     parts[0] += slots[b - r0]

@@ -123,9 +123,10 @@ def run_sequence(model, frames: Iterable[FrameBuffer],
     Each output is encoded in ``layout``, or in its input frame's layout
     when that is None.  For a baseline model, a frame holds at its peak the
     float32 input and output tensors, the output payload and its bytes
-    copy, and about 2 MB of row-block buffers, which the row-block workers
-    share: for a 540x960 4:2:0 frame at x2, 31.1 MB of tensors and 6.2 MB
-    of payloads, about 40 MB in all at any worker count.
+    copy, and the row-block buffers, which stay within
+    ``parallel.SCRATCH`` (2 MiB) besides the upscale's halo rows at any
+    worker count: for a 540x960 4:2:0 frame at x2, 31.1 MB of tensors and
+    6.2 MB of payloads, about 40 MB in all.
     """
     for frame in frames:
         x = frame_to_tensor(frame)
@@ -256,10 +257,10 @@ def evaluate_pair(ref_frames, test_frames, plane: str = "y"
 
     The frames are scored in contiguous spans, one per worker
     (``parallel.over_blocks``, over the CPUs in the affinity set).  Each
-    span's SSIM maps run their row blocks on its share of the workers:
-    one frame gets them all, and as many frames as workers score each
-    on its own thread.  A frame's values do not depend on the thread or
-    the worker count."""
+    frame's SSIM maps run their row blocks in spans of their own, which
+    the pool's threads take up as the frames' spans leave them free, so
+    no more spans run at once than there are CPUs.  A frame's values do
+    not depend on the thread or the worker count."""
     refs = list(ref_frames)
     tests = list(test_frames)
     if len(refs) != len(tests):

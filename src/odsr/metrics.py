@@ -182,8 +182,7 @@ def ssim_map(ref, test) -> np.ndarray:
             num /= den
             out[o:o + n] = num[:, _RADIUS:-_RADIUS]
 
-    parallel.over_blocks(-(-len(out) // rows), run,
-                         max(1, out.size // _BLOCK))
+    parallel.over_blocks(-(-len(out) // rows), run, out.size // _BLOCK)
     return out
 
 

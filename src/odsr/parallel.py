@@ -4,12 +4,17 @@ One pool of ``workers() - 1`` daemon threads starts on the first call that
 has more than one span and serves every later call.  A call queues a claim
 per pool thread, runs spans on the calling thread too, and takes any span
 no thread has started yet, so it waits only on spans that are running:
-nested calls cannot deadlock, whatever the pool's size.  A span hands its
-share of the workers down to the calls nested in it, so a span of frames
-that each score in row blocks asks for no more spans than there are CPUs.
-A blocked loop's scratch is one budget per call, which its spans split
-(``over_rows``), so memory does not grow with the CPU count.  The work must
+nested calls cannot deadlock, whatever the pool's size, and no more spans
+run at once than the pool has threads plus the callers.  The work must
 release the GIL to gain (numpy on large blocks, BLAS, ``scipy.ndimage``).
+
+Every blocked loop follows one rule.  It walks fixed, cache-sized blocks
+whose size does not depend on the worker count, so every output is
+bitwise at any worker count, and ``over_blocks`` runs them in at most one
+span per worker, each span with its own block scratch.  The caller caps
+the spans (``most``) so that their scratch stays within ``SCRATCH``, and
+memory does not grow with the CPU count.  The SSIM map's halo-bound
+blocks fill that budget alone; it caps its spans by the map's size.
 
 Spans run the SSIM map, the polyphase upscale, the 4:2:0 conversions,
 scoring over frames, and in the engine the conv core's GEMM blocks, the
@@ -25,7 +30,9 @@ import os
 import queue
 import threading
 
-_share = threading.local()
+# Bytes of block scratch that the spans of one blocked loop share (2 MiB):
+# two spans of a cache-sized block each.
+SCRATCH = 1 << 21
 
 
 def _cpus() -> int:
@@ -36,9 +43,8 @@ def _cpus() -> int:
 
 
 def workers() -> int:
-    """CPUs this thread may use: its span's share inside a span, else every
-    CPU of the process (``_cpus``)."""
-    return getattr(_share, "workers", 0) or _cpus()
+    """CPUs the spans may use: every CPU of the process (``_cpus``)."""
+    return _cpus()
 
 
 class _Pool:
@@ -72,8 +78,8 @@ class _Call:
     """One ``over_blocks`` call's spans, each run by whichever thread
     claims it first."""
 
-    def __init__(self, run, cuts: list[int], w: int):
-        self.run, self.cuts, self.w = run, cuts, w
+    def __init__(self, run, cuts: list[int]):
+        self.run, self.cuts = run, cuts
         self.context = contextvars.copy_context()
         self.n = len(cuts) - 1
         self.untaken = iter(range(1, self.n))  # span 0 is the caller's
@@ -83,15 +89,12 @@ class _Call:
         self.done = threading.Event()
 
     def span(self, i: int) -> None:
-        outer = getattr(_share, "workers", 0)
-        _share.workers = self.w // self.n + (i < self.w % self.n)
         try:
             # a context runs on one thread at a time: a copy per span
             self.context.copy().run(self.run, self.cuts[i], self.cuts[i + 1])
         except BaseException as e:  # re-raised on the calling thread
             self.errors[i] = e
         finally:
-            _share.workers = outer
             with self.lock:
                 self.left -= 1
                 if not self.left:
@@ -109,21 +112,20 @@ class _Call:
 
 def over_blocks(count: int, run, most: int | None = None) -> None:
     """Call ``run(b0, b1)`` on contiguous spans that cover ``range(count)``,
-    at most one span per worker and at most ``most``, and return when
-    every span is done.
+    at most one span per worker and at most ``most`` (at least one), and
+    return when every span is done.
 
     The first span runs on the calling thread, which then takes every span
     the pool has not started.  An exception from any span is re-raised
     after all spans have finished (the first span's that failed).  With
     one span, ``run(0, count)`` runs inline and no thread starts.
     """
-    w = workers()
-    n = min(count, w, most or count)
+    n = min(count, workers(), count if most is None else max(1, most))
     if n <= 1:
         if count:
             run(0, count)
         return
-    call = _Call(run, [count * i // n for i in range(n + 1)], w)
+    call = _Call(run, [count * i // n for i in range(n + 1)])
     pool = _the_pool()
     for _ in range(min(n - 1, pool.size)):
         pool.claims.put(call.claim)
@@ -134,22 +136,3 @@ def over_blocks(count: int, run, most: int | None = None) -> None:
     for e in call.errors:
         if e is not None:
             raise e
-
-
-def shares(rows: int, least: int) -> tuple[int, int]:
-    """How the workers split a call's budget of ``rows`` block rows: the
-    number of spans and each span's block rows.  There are no more spans
-    than leave each ``least`` rows, so a block's halo or per-call overhead
-    never outweighs it; one span keeps the whole budget."""
-    spans = max(1, min(workers(), rows // least))
-    return spans, rows // spans
-
-
-def over_rows(n: int, rows: int, least: int, run) -> None:
-    """Call ``run(r0, r1, step)`` on contiguous spans that cover
-    ``range(n)``, each walking its rows in blocks of ``step`` from ``r0``,
-    with the spans sharing a budget of ``rows`` block rows as ``shares``
-    splits it (``over_blocks`` runs them)."""
-    spans, step = shares(rows, least)
-    over_blocks(-(-n // step),
-                lambda b0, b1: run(b0 * step, min(n, b1 * step), step), spans)

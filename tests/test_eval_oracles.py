@@ -95,11 +95,8 @@ class TestBlockedUpscale:
 
     @pytest.mark.parametrize("kernel", ["cubic", "lanczos4"])
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
-    def test_several_blocks_and_a_partial_last_one(self, monkeypatch,
-                                                   kernel, s):
-        # one worker, so the blocks are whole budgets; tests/test_parallel.py
-        # splits them among several
-        monkeypatch.setattr(parallel, "workers", lambda: 1)
+    def test_several_blocks_and_a_partial_last_one(self, kernel, s):
+        # tests/test_parallel.py runs the blocks in spans
         w = 100
         step = resample._BLOCK // (2 * 3 * s * w)
         h = 2 * step + 7
@@ -140,12 +137,6 @@ class TestBlockedUpscale:
 
 # worker counts the partial-block tests force, whatever the host has
 WORKERS = (1, 2, 3, 5)
-
-
-def _colour_rows(width: int) -> int:
-    """Rows of a 4:2:0 conversion's blocks at the current worker count."""
-    return 2 * parallel.shares(media.block_rows(width) // 2,
-                               media._LEAST_PAIRS)[1]
 
 
 _U8_FRAME = st.tuples(st.integers(1, 24), st.integers(1, 24),
@@ -189,7 +180,7 @@ class TestColourInPlace:
         # count
         for workers in WORKERS:
             monkeypatch.setattr(parallel, "workers", lambda: workers)
-            rows = _colour_rows(1920)
+            rows = media.block_rows(1920)
             h = 2 * rows + 6
             assert rows % 2 == 0 and h % rows == 6
             rgb = np.random.default_rng(12).integers(
@@ -200,7 +191,7 @@ class TestColourInPlace:
     def test_decode_partial_last_block_bitwise(self, monkeypatch):
         for workers in WORKERS:
             monkeypatch.setattr(parallel, "workers", lambda: workers)
-            rows = _colour_rows(1920)
+            rows = media.block_rows(1920)
             h = 2 * rows + 6
             assert h % rows == 6
             payload = np.random.default_rng(13).integers(
@@ -238,11 +229,10 @@ class TestFrameTensorConversions:
     @pytest.mark.parametrize("layout", ["yuv420", "rgb8", "y8"])
     def test_tensor_to_frame_partial_last_block_bitwise(self, monkeypatch,
                                                         layout):
-        # yuv420 walks the spans' blocks, rgb8 and y8 whole ``block_rows``
+        # yuv420 walks its blocks in spans, rgb8 and y8 on one thread
         for workers in WORKERS:
             monkeypatch.setattr(parallel, "workers", lambda: workers)
-            rows = (_colour_rows(1920) if layout == "yuv420"
-                    else media.block_rows(1920))
+            rows = media.block_rows(1920)
             h = 2 * rows + 6
             assert h % rows == 6
             t = Tensor(_unit_floats((1, 3, h, 1920), 19))

@@ -160,8 +160,9 @@ class TestRunSequenceMemory:
         assert peak < tensors + payloads + 4 * 2 ** 20
 
     def test_four_workers_share_the_block_buffers(self, monkeypatch):
-        """The same frame and bound with four row-block workers: they share
-        each loop's ``_BLOCK`` budget rather than taking one each."""
+        """The same frame and bound with four row-block workers: each
+        loop's spans stay within ``parallel.SCRATCH`` rather than taking a
+        block each."""
         monkeypatch.setattr(parallel, "workers", lambda: 4)
         self.test_baseline_frame_stays_near_its_tensors()
 

@@ -1,8 +1,9 @@
-"""Row-block spans on several workers: ``parallel.over_blocks``, its pool
-and ``over_rows`` themselves, the SSIM map, the polyphase upscale, the
-4:2:0 colour conversions and the float32 GELU bit for bit against their
-oracles, and the conv core with its weight gradient bit for bit against
-one worker, and within their memory budgets, at any worker count."""
+"""Row-block spans on several workers: ``parallel.over_blocks`` and its
+pool themselves, the SSIM map, the polyphase upscale, the 4:2:0 colour
+conversions and the float32 GELU bit for bit against their oracles, and
+the conv core with its weight gradient bit for bit against one worker, on
+blocks that do not depend on the worker count and within their memory
+budgets, at any worker count."""
 import sys
 import threading
 import tracemalloc
@@ -67,6 +68,11 @@ class TestOverBlocks:
         assert sorted(seen)[0][0] == 0 and sorted(seen)[-1][1] == 7
         assert len(seen) == min(most, workers)
 
+    def test_a_cap_below_one_runs_one_span(self, workers):
+        seen = []
+        parallel.over_blocks(7, lambda b0, b1: seen.append((b0, b1)), 0)
+        assert seen == [(0, 7)]
+
     def test_affinity_or_every_cpu(self, monkeypatch):
         # a taskset mask counts; platforms without the call use every CPU
         monkeypatch.setattr(parallel.os, "sched_getaffinity",
@@ -84,19 +90,6 @@ class TestOverBlocks:
         parallel.over_blocks(9, lambda b0, b1: threads.append(
             (threading.get_ident(), b0, b1)))
         assert threads == [(threading.get_ident(), 0, 9)]
-
-    def test_nested_spans_share_the_workers(self, monkeypatch):
-        # a span of a 4-CPU call over two items hands 2 workers down, one
-        # over three items hands down 2, 1 and 1; the caller keeps all 4
-        parallel._the_pool()  # sized by the real CPUs, not the mask below
-        monkeypatch.setattr(parallel.os, "sched_getaffinity",
-                            lambda pid: {0, 1, 2, 3})
-        for count, want in ((2, [2, 2]), (3, [2, 1, 1]), (9, [1] * 4)):
-            shares = {}
-            parallel.over_blocks(count, lambda b0, b1: shares.__setitem__(
-                b0, parallel.workers()))
-            assert [shares[k] for k in sorted(shares)] == want
-            assert parallel.workers() == 4
 
     @pytest.mark.parametrize("bad", [0, 2])
     def test_exception_surfaces_after_every_span(self, monkeypatch, bad):
@@ -169,32 +162,9 @@ class TestOverBlocks:
         assert seen[0][1] == seen[1][1] == state
 
 
-class TestOverRows:
-    @pytest.mark.parametrize("n, rows, least, want", [
-        # a 2K lanczos4 x2 upscale of three planes: 45 rows, halo 4
-        (540, 45, 8, {1: (1, 45), 2: (2, 22), 3: (3, 15), 5: (5, 9),
-                      64: (5, 9)}),
-        # a budget below the floor stays whole on one span
-        (20, 3, 8, {1: (1, 3), 2: (1, 3), 64: (1, 3)}),
-        (7, 12, 1, {1: (1, 12), 3: (3, 4), 64: (12, 1)})])
-    def test_spans_split_the_budget_down_to_the_floor(
-            self, monkeypatch, n, rows, least, want):
-        for count, (spans, step) in want.items():
-            monkeypatch.setattr(parallel, "workers", lambda: count)
-            assert parallel.shares(rows, least) == (spans, step)
-            seen = []
-            parallel.over_rows(n, rows, least, lambda r0, r1, s: seen.append(
-                (r0, r1, s)))
-            seen.sort()
-            assert [r for r0, r1, _ in seen for r in range(r0, r1)] == \
-                list(range(n))
-            assert all(s == step and r0 % step == 0 for r0, _, s in seen)
-            assert len(seen) == min(spans, -(-n // step))
-
-
 class TestBitwiseAtAnyWorkerCount:
     """Each output row runs the same steps in the same order whichever
-    span holds it; small ``_BLOCK`` budgets give many blocks, fewer blocks
+    span holds it; small ``_BLOCK`` values give many blocks, fewer blocks
     than workers, and short last blocks."""
 
     @pytest.mark.parametrize("h", [11, 14, 250, 600])
@@ -213,9 +183,9 @@ class TestBitwiseAtAnyWorkerCount:
     @pytest.mark.parametrize("s", [2, 4])
     @pytest.mark.parametrize("h", [1, 7, 23, 101])
     def test_resize_plane(self, workers, monkeypatch, kernel, s, h):
-        # a budget of 40 rows at x2 and 20 at x4, split down to blocks of
-        # twice the halo: 2 for cubic, 4 for lanczos4
-        monkeypatch.setattr(resample, "_BLOCK", 2400)
+        # blocks of 4 rows at x2 and 2 at x4, no deeper than lanczos4's
+        # halo (4 rows): up to 51 at h=101
+        monkeypatch.setattr(resample, "_BLOCK", 240)
         x = np.random.default_rng(h * s).random((3, h, 10)) * 1.2 - 0.1
         for out_hw in ((h * s, 10 * s), (h * s, 15)):
             want = resample_oracle.polyphase_resize_plane(x, out_hw, kernel)
@@ -228,9 +198,8 @@ class TestBitwiseAtAnyWorkerCount:
 
     @pytest.mark.parametrize("h", [2, 6, 22, 90])
     def test_colour_conversions(self, workers, monkeypatch, h):
-        # a budget of 40 rows: 40-row blocks on one worker, 20, 12 and 8 on
-        # two, three and five
-        monkeypatch.setattr(media, "_BLOCK", 4 * 16 * 40)
+        # 8-row blocks: one to twelve, the last one short at h=22 and 90
+        monkeypatch.setattr(media, "_BLOCK", 4 * 16 * 8)
         rng = np.random.default_rng(h)
         rgb = rng.integers(0, 256, (h, 16, 3), dtype=np.uint8)
         want = eval_oracle.rgb_to_yuv420(rgb)
@@ -303,9 +272,10 @@ class TestConvAtAnyWorkerCount:
         ((8, 12, 32, 32), (12, 6, 3, 3), 2, 1, 2),  # strided, grouped
         ((8, 3, 32, 32), (12, 3, 4, 4), 2, 1, 1)])  # a transpose's, thin
     def test_corr_wgrad(self, workers, monkeypatch, xs, ws, s, p, g):
-        # the stacked cases run 124 and 53 blocks in rounds of up to 12,
-        # the last round short
+        # the stacked cases run 123 blocks in rounds of 17, the last one
+        # short, and 31 and 14 blocks in one round, on up to three spans
         monkeypatch.setattr(ops, "_BLOCK", 1 << 13)
+        monkeypatch.setattr(parallel, "SCRATCH", 3 << 16)
         rng = np.random.default_rng(sum(xs) + sum(ws))
         x = rng.standard_normal(xs, dtype=np.float32)
         oh, ow = ops._geometry(*xs[2:], *ws[2:], s, p)[:2]
@@ -362,18 +332,19 @@ class TestGeluAtAnyWorkerCount:
 def test_span_scratch_shares_one_budget(monkeypatch, count):
     """The spans of a thin-input correlation, a band-sized GELU and a
     training step's stacked weight gradient keep their block buffers,
-    scratch rows, operands and per-block products within ``_SPAN_BLOCKS``
-    blocks at any worker count, on top of what one call holds anyway.  A
-    pool sized for ``count`` CPUs runs each span on a thread of its own,
-    and each span, once its scratch is made, waits for all the others, so
-    every span's scratch is held at once."""
+    scratch rows, operands and per-block products within
+    ``parallel.SCRATCH`` at any worker count, on top of what one call holds
+    anyway.  A pool sized for ``count`` CPUs runs each span on a thread of
+    its own, and each span, once its scratch is made, waits for all the
+    others, so every span's scratch is held at once."""
     monkeypatch.setattr(parallel, "workers", lambda: count)
     monkeypatch.setattr(parallel, "_cpus", lambda: count)
     monkeypatch.setattr(parallel, "_pool", None)
     over_blocks, waits = parallel.over_blocks, {}
 
     def all_at_once(n, run, most=None):
-        barrier = threading.Barrier(min(n, count, most or n), timeout=60)
+        barrier = threading.Barrier(
+            min(n, count, n if most is None else max(1, most)), timeout=60)
 
         def span(b0, b1):
             waits[threading.get_ident()] = barrier
@@ -401,7 +372,7 @@ def test_span_scratch_shares_one_budget(monkeypatch, count):
     monkeypatch.setattr(ops, "_horner", after_scratch(ops._horner))
     monkeypatch.setattr(ops, "_operands", after_scratch(ops._operands))
     # and 64 KiB for the calls' own objects
-    budget = ops._SPAN_BLOCKS * ops._BLOCK * 4 + (64 << 10)
+    budget = parallel.SCRATCH + (64 << 10)
     rng = np.random.default_rng(count)
     x = rng.standard_normal((1, 3, 270, 480), dtype=np.float32)
     w = rng.standard_normal((56, 3, 5, 5), dtype=np.float32)
@@ -427,7 +398,8 @@ def test_encode_raises_a_block_error_unchanged(monkeypatch, bad):
     # three spans of one 8-row block: rows 0 on the calling thread, 16 on
     # the pool
     monkeypatch.setattr(parallel, "workers", lambda: 3)
-    monkeypatch.setattr(media, "_BLOCK", 4 * 16 * 24)
+    monkeypatch.setattr(media, "_BLOCK", 4 * 16 * 8)
+    assert media.block_rows(16) == 8
 
     def rgb_rows(i, k):
         if i == bad:
@@ -445,10 +417,10 @@ def test_encode_raises_a_block_error_unchanged(monkeypatch, bad):
 @pytest.mark.parametrize("count, kernel", [(4, "cubic"), (64, "cubic"),
                                            (64, "lanczos4")])
 def test_upscale_workers_share_one_block_budget(monkeypatch, count, kernel):
-    """The workers split ``resample._BLOCK``: a 2K x2 upscale into a given
-    ``out`` holds about one budget of row buffers plus each span's halo
-    rows, where a whole budget per worker would hold four at four workers,
-    and blocks of a row or two would hold 64 halos at 64."""
+    """The spans' row buffers stay within ``parallel.SCRATCH``: a 2K x2
+    upscale into a given ``out`` holds about one budget of row buffers
+    plus each span's halo rows, where a span per worker would hold four
+    blocks at four workers and all 25 at 64."""
     monkeypatch.setattr(parallel, "workers", lambda: count)
     x = np.random.default_rng(3).random((1, 3, 540, 960), dtype=np.float32)
     out = np.empty((1, 3, 1080, 1920), np.float32)
@@ -459,7 +431,7 @@ def test_upscale_workers_share_one_block_budget(monkeypatch, count, kernel):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 8 * resample._BLOCK
+    assert peak < 2 * parallel.SCRATCH
 
 
 def test_ssim_spans_stay_within_the_map(monkeypatch):
@@ -477,3 +449,92 @@ def test_ssim_spans_stay_within_the_map(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 * 1080 * 1920 * 8
+
+
+class _RowReads(np.ndarray):
+    """A plane that notes the first row of every row slice taken of it."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.starts.append(key.start)
+        return super().__getitem__(key).view(np.ndarray)
+
+
+def _noting_rows(plane: np.ndarray, starts: list) -> _RowReads:
+    noted = plane.view(_RowReads)
+    noted.starts = starts
+    return noted
+
+
+def _encode(m, starts):
+    media.encode_yuv420(1920, 120, lambda i, k: (
+        starts.append(i), np.zeros((3, k, 1920)))[1])
+
+
+def _decode(m, starts):
+    planes = media.FrameBuffer.yuv_planes
+    m.setattr(media.FrameBuffer, "yuv_planes", lambda frame: (
+        _noting_rows(planes(frame)[0], starts), *planes(frame)[1:]))
+    media.yuv420_to_rgb(
+        media.FrameBuffer("yuv420", 1920, 120, bytes(1920 * 180)))
+
+
+def _tensor_to_frame(m, starts):
+    encode = harness.encode_yuv420
+    m.setattr(harness, "encode_yuv420", lambda w, h, rgb_rows: encode(
+        w, h, lambda i, k: (starts.append(i), rgb_rows(i, k))[1]))
+    harness.tensor_to_frame(
+        Tensor(np.zeros((1, 3, 120, 1920), np.float32)), "yuv420")
+
+
+def _resize_plane(m, starts):
+    out = np.empty((3, 200, 1920), np.float32)
+    polyphase = resample._polyphase
+
+    def note(x, phases, axis, dst):
+        if axis == -1:  # the column pass writes the block's output rows
+            starts.append((dst.ctypes.data - out.ctypes.data)
+                          // out.strides[1])
+        polyphase(x, phases, axis, dst)
+
+    m.setattr(resample, "_polyphase", note)
+    resample.resize_plane(np.zeros((3, 100, 960)), (200, 1920), "lanczos4",
+                          out=out)
+
+
+def _ssim_map(m, starts):
+    as_planes = metrics._as_planes
+    m.setattr(metrics, "_as_planes", lambda ref, test: (
+        _noting_rows(as_planes(ref, test)[0], starts), test))
+    plane = np.zeros((200, 1920))
+    metrics.ssim_map(plane, plane)
+
+
+def _corr(m, starts):
+    operands = ops._operands
+
+    def note(flat, col, kh, kw, s, wq, c0, c1):
+        starts.append(c0)
+        return operands(flat, col, kh, kw, s, wq, c0, c1)
+
+    m.setattr(ops, "_operands", note)
+    ops._corr(np.zeros((1, 36, 64, 480), np.float32),
+              np.zeros((36, 36, 3, 3), np.float32), 1, 1, 1)
+
+
+@pytest.mark.parametrize("walk", [_encode, _decode, _tensor_to_frame,
+                                  _resize_plane, _ssim_map, _corr],
+                         ids=lambda walk: walk.__name__.lstrip("_"))
+def test_blocks_do_not_depend_on_the_worker_count(monkeypatch, walk):
+    """Every blocked loop walks the same blocks at 1, 2, 3 and 5 workers:
+    the first rows (columns, in the conv core) of the blocks it reads or
+    writes are equal, and only the spans that run them change."""
+    walks = []
+    for count in (1, 2, 3, 5):
+        monkeypatch.setattr(parallel, "workers", lambda: count)
+        starts = []
+        with monkeypatch.context() as m:
+            walk(m, starts)
+        walks.append(sorted(starts))
+    assert len(walks[0]) > 2
+    assert walks == [walks[0]] * 4
