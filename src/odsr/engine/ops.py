@@ -27,11 +27,8 @@ _BLOCK = 1 << 17
 # A 1x1 product runs in column pieces a multiple of _PIECE_ALIGN wide, each
 # of at least _PIECE_MACS multiply-adds: OpenBLAS runs such products in its
 # general kernel, which sums every column as one product over the plane
-# does in float32, and in float64 with BLAS on one thread (on OpenBLAS's
-# own threads a float64 56x432x9642 product in pieces differed from one
-# product in its last 2 columns).  Its small-matrix kernel (up to 100^3
-# multiply-adds) and a one-row weight's kernel sum the last few columns of
-# a plane in another order.
+# does.  Its small-matrix kernel (up to 100^3 multiply-adds) and a one-row
+# weight's kernel sum the last few columns of a plane in another order.
 _PIECE_ALIGN = 64
 _PIECE_MACS = 1 << 20
 # Elements per block of the float32 GELU kernel, whose 29 passes each run
@@ -528,8 +525,7 @@ def _pointwise(x: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
     """``out[m] = w @ x[m]`` over flat pixels, in column pieces on the
     workers.  The pieces do not depend on the worker count, and a plane's
     last piece takes its tail, so no piece is narrower than the others.
-    The output equals one product per image in float32, and in float64
-    with BLAS on one thread (see ``_PIECE_ALIGN``)."""
+    The output equals one product per image (see ``_PIECE_ALIGN``)."""
     n, ci = x.shape[:2]
     co = len(w)
     xf, of = x.reshape(n, ci, -1), out.reshape(n, co, -1)

@@ -166,6 +166,8 @@ def resize_plane(plane: np.ndarray, out_hw: tuple[int, int],
         resize_cols(resize_matrix(h, oh, kernel)
                     @ np.ascontiguousarray(plane, dtype=np.float64), out)
         return out
+    if not out.size:  # an empty stack: no blocks to size
+        return out
     rows = _phases(kernel, sh)
     halo = max(max(-first, first + len(fir) - 1) for fir, first in rows)
 

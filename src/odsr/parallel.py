@@ -22,13 +22,42 @@ weight gradient and the float32 GELU; the FFTs stay on the calling thread.
 Each span runs in its own copy of the caller's ``contextvars`` context,
 since threads do not inherit it: numpy keeps ``np.errstate`` there, so
 every span warns, raises or ignores as the caller asked.
+
+Importing this module sets numpy's bundled OpenBLAS to one thread, so the
+spans are the only threads that share out work, and no output or speed
+depends on ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS``.  The setting is
+process-wide: other numpy code in the process gets one BLAS thread too.
+It is made at import, not when the pool starts, so that products run
+before the first multi-span call sum as every later one does, whatever the
+call history.  Hosts with more CPUs than a loop's spans (``SCRATCH`` caps
+most conv loops at about two) are not measured; BLAS threads used to fill
+the rest.
 """
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import os
 import queue
 import threading
+
+import numpy as np
+
+
+def _pin_blas(lib: str) -> None:
+    """Set the scipy-openblas64 library that ``lib`` links to one thread;
+    where ``lib`` or that library's setter is missing, change nothing."""
+    try:
+        setter = ctypes.CDLL(lib).scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    setter(1)
+
+
+# numpy's linear algebra extension links the OpenBLAS that numpy bundles,
+# in numpy 1.x and 2.x alike
+_pin_blas(np.linalg._umath_linalg.__file__)
 
 # Bytes of block scratch that the spans of one blocked loop share (2 MiB):
 # two spans of a cache-sized block each.

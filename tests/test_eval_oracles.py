@@ -117,6 +117,13 @@ class TestBlockedUpscale:
         for out_hw in ((40, 45), (30, 60), (10, 90)):
             _assert_blocked_matches_whole(x, out_hw, "lanczos4")
 
+    @pytest.mark.parametrize("out_hw", [(8, 8), (8, 6), (6, 8), (3, 3)],
+                             ids=["polyphase both", "polyphase rows",
+                                  "polyphase columns", "dense both"])
+    def test_an_empty_stack_gives_an_empty_output(self, out_hw):
+        got = resample.resize_plane(np.zeros((0, 4, 4)), out_hw)
+        assert got.shape == (0, *out_hw) and got.dtype == np.float64
+
     def test_out_shape_is_checked(self):
         with pytest.raises(ValueError, match="out has shape"):
             resample.resize_plane(np.zeros((4, 4)), (8, 8),

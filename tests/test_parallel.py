@@ -3,10 +3,16 @@ pool themselves, the SSIM map, the polyphase upscale, the 4:2:0 colour
 conversions and the float32 GELU bit for bit against their oracles, and
 the conv core with its weight gradient bit for bit against one worker, on
 blocks that do not depend on the worker count and within their memory
-budgets, at any worker count."""
+budgets, at any worker count; and the OpenBLAS pin that leaves the spans
+the only threads that share out work."""
+import ctypes
+import ctypes.util
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -538,3 +544,65 @@ def test_blocks_do_not_depend_on_the_worker_count(monkeypatch, walk):
         walks.append(sorted(starts))
     assert len(walks[0]) > 2
     assert walks == [walks[0]] * 4
+
+
+@pytest.fixture
+def openblas_threads():
+    """The getter and setter of the OpenBLAS thread count that numpy links."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    if get is None:
+        pytest.skip("numpy links no scipy-openblas64")
+    get.argtypes, get.restype = [], ctypes.c_int
+    put = lib.scipy_openblas_set_num_threads64_
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+def _two_blas_threads(code: str) -> str:
+    """``code``'s output in a fresh interpreter whose environment asks
+    OpenBLAS for two threads."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="2")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout.strip()
+
+
+class TestBlasPin:
+    def test_import_pins_openblas_to_one_thread(self, openblas_threads):
+        assert _two_blas_threads(
+            "import ctypes, numpy as np\n"
+            "from odsr import parallel\n"
+            "lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)\n"
+            "print(lib.scipy_openblas_get_num_threads64_())") == "1"
+
+    @pytest.mark.parametrize("lib", ["no-such-library.so",
+                                     ctypes.util.find_library("c")],
+                             ids=["no library", "no setter"])
+    def test_a_missing_library_or_setter_changes_nothing(
+            self, openblas_threads, lib):
+        get, put = openblas_threads
+        put(2)
+        try:
+            parallel._pin_blas(lib)
+            assert get() == 2
+        finally:
+            put(1)
+
+    def test_float64_pointwise_pieces_sum_as_one_product(self):
+        """Under OpenBLAS's own threads a float64 56x432x9642 1x1 product
+        in column pieces differed from one product in its last columns;
+        with the pin the pieces sum as one product in every environment."""
+        assert _two_blas_threads(
+            "import numpy as np\n"
+            "from odsr.engine import ops\n"
+            "rng = np.random.default_rng(0)\n"
+            "x = rng.standard_normal((1, 432, 1, 9642))\n"
+            "w = rng.standard_normal((56, 432))\n"
+            "out = np.empty((1, 56, 1, 9642))\n"
+            "ops._pointwise(x, w, out)\n"
+            "whole = w @ x.reshape(432, -1)\n"
+            "print(np.flatnonzero((out.reshape(56, -1) != whole).any(0)))"
+        ) == "[]"
