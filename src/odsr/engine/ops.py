@@ -547,15 +547,16 @@ def _corr_wgrad(x: np.ndarray, gout: np.ndarray, kh: int, kw: int,
                 stride: int, padding: int, groups: int) -> np.ndarray:
     """Weight gradient of :func:`_corr`, with the taps grouped as there.
 
-    Unstacked taps take one GEMM each over all columns, and spans of taps
-    run on the workers (depthwise taps, g dot products each, on one).
-    Stacked taps take one GEMM per block-sized stacked buffer, summed over
-    the blocks in rounds: each of a round's spans takes a run of blocks and
-    writes each block's product into its own slot, and the caller adds the
-    slots in block order, the left fold one span makes.  The spans'
-    operands take half of ``parallel.SCRATCH``, and a round's slots with
-    the running sum the other half.  So the result is bitwise at any
-    worker count.
+    One loop over column blocks, as in :func:`_corr`: each block takes one
+    GEMM per operand, a block-sized stacked buffer of every tap or each
+    tap's shifted view.  Layouts that do not stack taps (:func:`_stacking`)
+    run one block of all columns, so one GEMM per tap, on the calling
+    thread.  Stacked blocks are summed in rounds: each of a round's spans
+    takes a run of blocks and writes each block's product into its own
+    slot, and the caller adds the slots in block order, the left fold one
+    span makes.  The spans' operands take half of ``parallel.SCRATCH``, and
+    a round's slots with the running sum the other half.  So the result is
+    bitwise at any worker count.
     """
     n, ci, h, wd = x.shape
     _, co, oh, ow = gout.shape
@@ -570,41 +571,31 @@ def _corr_wgrad(x: np.ndarray, gout: np.ndarray, kh: int, kw: int,
     gmt = gm.transpose(0, 2, 1)
     dtype = np.result_type(x, gout)
     stacked, block = _stacking(cig, co // g, kh * kw, g)
+    block = min(block, length) if stacked else length
+    count = -(-length // block)
     # operand @ goutᵀ: [taps or 1, g, ci/g or taps*ci/g, co/g]
-    if not stacked:
-        parts = np.empty((kh * kw, g, cig, co // g), dtype=dtype)
-        srcs = _operands(flat, None, kh, kw, s, wq, 0, length)
+    slot = (1, g, stacked, co // g) if stacked else (kh * kw, g, cig, co // g)
+    half = parallel.SCRATCH // 2 // dtype.itemsize
+    window = min(count, max(1, half // np.prod(slot) - 1))  # blocks a round
+    slots = np.empty((window, *slot), dtype=dtype)
 
-        def taps(t0, t1):
-            for t in range(t0, t1):
-                np.matmul(srcs[t], gmt, out=parts[t])
+    def blocks(b0, b1):
+        col = np.empty((g, stacked, block), flat.dtype) if stacked else None
+        for b in range(b0, b1):
+            c0, c1 = b * block, min(b * block + block, length)
+            for t, src in enumerate(
+                    _operands(flat, col, kh, kw, s, wq, c0, c1)):
+                np.matmul(src, gmt[:, c0:c1], out=slots[b % window, t])
 
-        parallel.over_blocks(kh * kw, taps, 1 if cig == 1 else None)
-    else:
-        block = min(block, length)
-        count = -(-length // block)
-        room, slot = g * stacked * block, g * stacked * (co // g)
-        half = parallel.SCRATCH // 2 // dtype.itemsize
-        window = min(count, max(1, half // slot - 1))  # blocks a round
-        slots = np.empty((window, g, stacked, co // g), dtype=dtype)
-
-        def blocks(b0, b1):
-            col = np.empty((g, stacked, block), dtype=flat.dtype)
-            for b in range(b0, b1):
-                c0, c1 = b * block, min(b * block + block, length)
-                (src,) = _operands(flat, col, kh, kw, s, wq, c0, c1)
-                np.matmul(src, gmt[:, c0:c1], out=slots[b % window])
-
-        parts = np.empty_like(slots[:1])
-        for r0 in range(0, count, window):
-            r1 = min(r0 + window, count)
-            parallel.over_blocks(
-                r1 - r0, lambda b0, b1: blocks(r0 + b0, r0 + b1), half // room)
-            for b in range(r0, r1):
-                if b:
-                    parts[0] += slots[b - r0]
-                else:
-                    parts[0] = slots[0]
+    for r0 in range(0, count, window):
+        r1 = min(r0 + window, count)
+        parallel.over_blocks(r1 - r0, lambda b0, b1: blocks(r0 + b0, r0 + b1),
+                             half // (g * max(1, stacked) * block))
+        for b in range(r0, r1):
+            if b:
+                parts += slots[b - r0]
+            else:  # the sum stays in slot 0 unless a later round takes it
+                parts = slots[0] if r1 == count else slots[0].copy()
     gw = np.empty((g, co // g, cig, kh * kw), dtype=dtype)
     gw[..., _tap_order(kh, kw, s)] = parts.transpose(1, 0, 2, 3).reshape(
         g, -1, cig, co // g).transpose(0, 3, 2, 1)

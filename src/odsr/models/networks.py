@@ -65,9 +65,11 @@ def count_flops(spec: NetworkSpec, lr_hw: tuple[int, int]) -> int:
 
     Convention: a convolution costs 2 multiply-accumulates per tap
     (bias adds not counted); elementwise ops cost one FLOP per element;
-    an FFT plane costs 5*H*W*log2(H*W).
+    an FFT plane costs 5*H*W*log2(H*W).  Raises ValueError for sizes no
+    forward accepts (:meth:`NetworkSpec.check_input_hw`).
     """
     h, w = lr_hw
+    spec.check_input_hw(h, w)
     total, out = blocks._layers_flops(spec.layers, Shape(3, h, w))
     expect = Shape(3, h * spec.scale, w * spec.scale)
     if out != expect:

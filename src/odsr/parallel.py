@@ -18,7 +18,8 @@ blocks fill that budget alone; it caps its spans by the map's size.
 
 Spans run the SSIM map, the polyphase upscale, the 4:2:0 conversions,
 scoring over frames, and in the engine the conv core's GEMM blocks, the
-weight gradient and the float32 GELU; the FFTs stay on the calling thread.
+rounds of a stacked weight gradient and the float32 GELU; the FFTs stay on
+the calling thread.
 Each span runs in its own copy of the caller's ``contextvars`` context,
 since threads do not inherit it: numpy keeps ``np.errstate`` there, so
 every span warns, raises or ignores as the caller asked.

@@ -33,10 +33,10 @@ class ScoreParams:
                 f"{self.psnr_min}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
-        if self.rt_threshold <= 0:
+        if not self.rt_threshold > 0:
             raise ValueError(
                 f"rt_threshold must be positive, got {self.rt_threshold}")
-        if self.penalty_rate < 0:
+        if not self.penalty_rate >= 0:
             raise ValueError(
                 f"penalty_rate must be >= 0, got {self.penalty_rate}")
 
@@ -52,12 +52,14 @@ class ScoreParams:
 
 def q_hat(ws_psnr: float, params: ScoreParams) -> float:
     """Normalized quality score (can exceed [0, 1] by design)."""
+    if math.isnan(ws_psnr):
+        raise ValueError(f"ws_psnr must be a number, got {ws_psnr}")
     return (ws_psnr - params.psnr_min) / (params.psnr_max - params.psnr_min)
 
 
 def runtime_score(runtime_s: float, params: ScoreParams) -> float:
     """Runtime credit: full up to the threshold, exponential decay past it."""
-    if runtime_s < 0:
+    if not runtime_s >= 0:
         raise ValueError(f"runtime must be >= 0, got {runtime_s}")
     if runtime_s <= params.rt_threshold:
         return 1.0

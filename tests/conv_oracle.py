@@ -7,6 +7,9 @@ formulations they replaced: every window is copied into a
 ``sliding_window_view`` column buffer, processed in row bands of at most
 ``COL_BUDGET`` elements, and transposed convolutions zero-dilate and flip.
 Different summation order, same maths; the parity suite compares the two.
+``corr2d_wgrad_per_tap`` is the exception: the weight gradient's earlier
+per-tap form, which the engine's unstacked weight gradients equal bit for
+bit.
 """
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -60,6 +63,42 @@ def corr2d_wgrad(x: np.ndarray, gout: np.ndarray, kh: int, kw: int,
         g, n * oh * ow, co // g)
     wg = gm.transpose(0, 2, 1) @ cols
     return np.ascontiguousarray(wg.reshape(co, cig, kh, kw))
+
+
+def corr2d_wgrad_per_tap(x: np.ndarray, gout: np.ndarray, kh: int, kw: int,
+                         stride: int, padding: int,
+                         groups: int) -> np.ndarray:
+    """Weight gradient as one matmul per tap over all columns of the phase
+    buffer.
+
+    The padded input is split into stride phases [s, s, ci, n*hq*wq], with
+    hq x wq padded pixels per phase plane; tap (i, j) reads phase
+    (i % s, j % s) at flat offset (i // s) * wq + j // s, and its gradient
+    is that shifted view times the zero-padded output gradient on the same
+    flat grid.
+    """
+    n, ci, h, wd = x.shape
+    _, co, oh, ow = gout.shape
+    s, p, g = stride, padding, groups
+    cig = ci // g
+    hq, wq = oh + -(-kh // s) - 1, ow + -(-kw // s) - 1
+    canvas = np.zeros((n, ci, hq * s, wq * s), dtype=x.dtype)
+    crop = x[:, :, :hq * s - p, :wq * s - p]
+    canvas[:, :, p:p + crop.shape[2], p:p + crop.shape[3]] = crop
+    flat = np.ascontiguousarray(
+        canvas.reshape(n, ci, hq, s, wq, s).transpose(3, 5, 1, 0, 2, 4)
+    ).reshape(s, s, g, cig, -1)
+    gz = np.zeros((co, n, hq, wq), dtype=gout.dtype)
+    gz[:, :, :oh, :ow] = gout.transpose(1, 0, 2, 3)
+    length = (n - 1) * hq * wq + (oh - 1) * wq + ow
+    gmt = gz.reshape(g, co // g, -1)[:, :, :length].transpose(0, 2, 1)
+    gw = np.empty((g, co // g, cig, kh, kw), dtype=np.result_type(x, gout))
+    for i in range(kh):
+        for j in range(kw):
+            off = i // s * wq + j // s
+            src = flat[i % s, j % s, :, :, off:off + length]
+            gw[..., i, j] = np.matmul(src, gmt).transpose(0, 2, 1)
+    return gw.reshape(co, cig, kh, kw)
 
 
 def swap_flip(w: np.ndarray, groups: int) -> np.ndarray:

@@ -60,6 +60,16 @@ class TestScoreQ:
         assert code == 2
         assert "ws-psnr" in err or "ws_psnr" in err
 
+    @pytest.mark.parametrize("flag", ["--ws-psnr", "--runtime",
+                                      "--threshold", "--bmax"])
+    def test_nan_is_validation_error(self, capsys, flag):
+        args = {"--ws-psnr": "29.0", "--runtime": "0.01", flag: "nan"}
+        code, out, err = run_cli(capsys, "score-q", "--scale", "2",
+                                 *(a for kv in args.items() for a in kv))
+        assert code == 2
+        assert out == ""
+        assert "nan" in err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "q.txt"
         code, out, _ = run_cli(capsys, "score-q", "--ws-psnr", "31.0",
@@ -200,6 +210,20 @@ class TestParamsAndFlops:
                                "--width", "480")
         assert code == 0
         assert "G-FLOPs" in out
+
+    @pytest.mark.parametrize("model, scale, hw, constraint", [
+        ("fsrcnn", 2, (0, 0), "at least 1px"),
+        ("fsrcnn", 4, (-5, 8), "at least 1px"),
+        ("ffcir", 4, (4, 4), "at least 8px"),
+        ("athena", 4, (3, 5), "divisible by 2")])
+    def test_flops_rejects_sizes_no_forward_accepts(self, capsys, model,
+                                                    scale, hw, constraint):
+        code, out, err = run_cli(capsys, "flops", "--model", model,
+                                 "--scale", str(scale), "--height",
+                                 str(hw[0]), "--width", str(hw[1]))
+        assert code == 2
+        assert out == ""
+        assert constraint in err
 
     def test_unknown_model_rejected(self, capsys):
         code, _, err = run_cli(capsys, "params", "--model", "resnet",

@@ -1,10 +1,11 @@
 """Row-block spans on several workers: ``parallel.over_blocks`` and its
 pool themselves, the SSIM map, the polyphase upscale, the 4:2:0 colour
 conversions and the float32 GELU bit for bit against their oracles, and
-the conv core with its weight gradient bit for bit against one worker, on
-blocks that do not depend on the worker count and within their memory
-budgets, at any worker count; and the OpenBLAS pin that leaves the spans
-the only threads that share out work."""
+the conv core with its weight gradient bit for bit against one worker
+(and an unstacked weight gradient against one product per tap), on blocks
+that do not depend on the worker count and within their memory budgets,
+at any worker count; and the OpenBLAS pin that leaves the spans the only
+threads that share out work."""
 import ctypes
 import ctypes.util
 import os
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import conv_oracle
 import eval_oracle
 import resample_oracle
 from gelu_oracle import GELU_EDGES, gelu_vjp_oracle, rational_phi
@@ -279,7 +281,8 @@ class TestConvAtAnyWorkerCount:
         ((8, 3, 32, 32), (12, 3, 4, 4), 2, 1, 1)])  # a transpose's, thin
     def test_corr_wgrad(self, workers, monkeypatch, xs, ws, s, p, g):
         # the stacked cases run 123 blocks in rounds of 17, the last one
-        # short, and 31 and 14 blocks in one round, on up to three spans
+        # short, and 31 and 14 blocks in one round, on up to three spans;
+        # the other three run one block of all columns on the calling thread
         monkeypatch.setattr(ops, "_BLOCK", 1 << 13)
         monkeypatch.setattr(parallel, "SCRATCH", 3 << 16)
         rng = np.random.default_rng(sum(xs) + sum(ws))
@@ -290,6 +293,27 @@ class TestConvAtAnyWorkerCount:
         monkeypatch.setattr(parallel, "workers", lambda: 1)
         want = ops._corr_wgrad(x, gout, *ws[2:], s, p, g)
         assert got.shape == ws
+        np.testing.assert_array_equal(got.view(np.int32), want.view(np.int32))
+
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("xs, ws, s, p, g", [
+        ((2, 48, 76, 110), (48, 48, 1, 1), 1, 0, 1),  # 1x1
+        ((8, 24, 32, 32), (8, 24, 3, 3), 1, 1, 1),  # ci/g > co/g
+        ((8, 12, 32, 32), (12, 1, 3, 3), 1, 1, 12),  # depthwise
+        ((8, 16, 32, 30), (8, 8, 3, 3), 2, 1, 2)])  # strided, grouped
+    def test_unstacked_wgrad_is_one_product_per_tap(self, monkeypatch, count,
+                                                    xs, ws, s, p, g):
+        # the taps of these layouts do not stack, so each one is one product
+        # over all columns, as in the oracle, whatever the block size
+        monkeypatch.setattr(parallel, "workers", lambda: count)
+        monkeypatch.setattr(ops, "_BLOCK", 1 << 13)
+        rng = np.random.default_rng(sum(xs) + sum(ws))
+        x = rng.standard_normal(xs, dtype=np.float32)
+        oh, ow = ops._geometry(*xs[2:], *ws[2:], s, p)[:2]
+        gout = rng.standard_normal((xs[0], ws[0], oh, ow), dtype=np.float32)
+        got = ops._corr_wgrad(x, gout, *ws[2:], s, p, g)
+        want = conv_oracle.corr2d_wgrad_per_tap(x, gout, *ws[2:], s, p, g)
+        assert got.shape == want.shape == ws
         np.testing.assert_array_equal(got.view(np.int32), want.view(np.int32))
 
 
