@@ -85,8 +85,14 @@ def bd_rate(anchor: RDCurve, test: RDCurve) -> float:
     log_test = np.log10(test.bitrates)
     int_anchor = _poly_integral(anchor.qualities, log_anchor, lo, hi)
     int_test = _poly_integral(test.qualities, log_test, lo, hi)
-    avg_diff = (int_test - int_anchor) / (hi - lo)
-    return (10.0 ** avg_diff - 1.0) * 100.0
+    avg_diff = float((int_test - int_anchor) / (hi - lo))
+    try:
+        ratio = 10.0 ** avg_diff
+    except OverflowError:
+        raise ValueError(
+            f"BD-rate overflows: the mean log10 bitrate gap {avg_diff:.6g} "
+            f"gives a rate ratio beyond float range") from None
+    return (ratio - 1.0) * 100.0
 
 
 def bd_quality(anchor: RDCurve, test: RDCurve) -> float:

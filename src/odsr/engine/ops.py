@@ -8,6 +8,7 @@ rules for the elementwise ops; convolution and friends are NCHW.
 """
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,12 +19,21 @@ from scipy.special import erf
 from .. import parallel
 from .tensor import Tensor, active_tape
 
-# Elements per column block of a correlation's accumulator or stacked
-# operand, whichever is larger: the block stays in cache across its taps.
-# A forward block holds at least one padded row, so on planes wider than
-# _BLOCK / max(co/g, taps*ci/g) columns it grows to one row, and at most the
-# rows the input has, so small planes get small buffers.
+# Elements per column block of a correlation's accumulator, or of its
+# stacked operand where that is larger: the block stays in cache across its
+# taps.  A forward block holds at least one padded row, so on planes wider
+# than _BLOCK / max(co/g, taps*ci/g) columns it grows to one row, and at
+# most the rows the input has, so small planes get small buffers.
 _BLOCK = 1 << 17
+# Inputs per group below which a multi-tap correlation stacks its taps into
+# one GEMM operand (when ci/g <= co/g too); from _THIN up each tap is a GEMM
+# that accumulates into the block in place.  Float32 3x3 on a 20x480 plane,
+# one CPU of a 2-vCPU Xeon VM: stacked ran 3->3 1.23x, 4->8 1.39x and 6->36
+# 1.42x faster than per tap; per tap ran 8->8 1.40-1.58x, 12->12
+# 1.36-1.43x, 16->36 1.08-1.18x and 32->32 1.11-1.25x faster.  Per tap
+# loses where outputs outnumber thin inputs 4:1 or more (8->36 0.85x,
+# 12->72 0.79x), a shape no bundled network has.
+_THIN = 8
 # A 1x1 product runs in column pieces a multiple of _PIECE_ALIGN wide, each
 # of at least _PIECE_MACS multiply-adds: OpenBLAS runs such products in its
 # general kernel, which sums every column as one product over the plane
@@ -406,17 +416,20 @@ def _phases(x: np.ndarray, s: int, p: int, hq: int, wq: int) -> np.ndarray:
     return buf.reshape(s, s, ci, n * hq * wq)
 
 
-def _stacking(cig: int, cog: int, taps: int, g: int) -> tuple[int, int]:
+def _stacking(cig: int, cog: int, taps: int, g: int,
+              thin: int | None = None) -> tuple[int, int]:
     """Rows per group of the stacked GEMM operand (0: one GEMM per tap) and
     the columns per block, so a block's accumulator and stacked operand
     stay in cache.
 
     All taps share one GEMM when a group has at most as many inputs as
-    outputs, so a thin input side does not make a thin inner dimension.
-    One tap, depthwise groups and ``ci/g > co/g`` keep a GEMM per tap:
-    there the stacking copy costs more than the wider GEMM saves.
+    outputs, so a thin input side does not make a thin inner dimension,
+    and, where ``thin`` is given, fewer inputs than ``thin``: from there on
+    a GEMM per tap accumulating in place beats the stacking copy.  One
+    tap, depthwise groups and ``ci/g > co/g`` keep a GEMM per tap.
     """
-    stacked = taps * cig if taps > 1 and 1 < cig <= cog else 0
+    wide = thin is not None and cig >= thin
+    stacked = taps * cig if taps > 1 and 1 < cig <= cog and not wide else 0
     return stacked, max(1, _BLOCK // (g * max(cog, stacked)))
 
 
@@ -455,21 +468,78 @@ def _operands(flat: np.ndarray, col: np.ndarray | None, kh: int, kw: int,
     return [col[:, :, :n]]
 
 
+def _bind_gemms(lib) -> dict:
+    """The row-major ``cblas_sgemm`` and ``cblas_dgemm`` that ``lib`` (the
+    OpenBLAS numpy bundles, ``parallel.BLAS``) exports, by dtype; {} where
+    ``lib`` is None or exports neither."""
+    gemms = {}
+    for dtype, name, real in ((np.float32, "sgemm", ctypes.c_float),
+                              (np.float64, "dgemm", ctypes.c_double)):
+        f = getattr(lib, f"scipy_cblas_{name}64_", None)
+        if f is not None:
+            n, p = ctypes.c_int64, ctypes.c_void_p
+            f.argtypes = [ctypes.c_int] * 3 + [n] * 3 + [real, p, n, p, n,
+                                                         real, p, n]
+            f.restype = None
+            gemms[np.dtype(dtype)] = f
+    return gemms
+
+
+_GEMMS = _bind_gemms(parallel.BLAS)
+
+
+def _gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+          accumulate: bool) -> None:
+    """``c[i] = a[i] @ b[i]``, or ``c[i] += a[i] @ b[i]``, for each i.
+
+    One call of the bundled ``cblas_{s,d}gemm`` per i with beta 0 or 1
+    (ctypes releases the GIL), whose row-major leading dimensions take the
+    strided views of a phase buffer as they are.  OpenBLAS adds a K-block's
+    product into C once, so while K (ci/g) stays below its K-blocking (a
+    few hundred) ``+=`` is bitwise the product added through a temporary.
+    Mixed dtypes, one-row or one-column products (numpy runs those as
+    GEMV, which sums in another order), shapes that do not match, rows
+    that are not unit-strided or overlap, and a numpy without the symbol
+    take ``np.matmul`` and, to accumulate, an add.
+    """
+    gemm = _GEMMS.get(c.dtype) if a.dtype == b.dtype == c.dtype else None
+    (g, m, k), n, e = a.shape, c.shape[2], c.itemsize
+    fits = b.shape == (g, k, n) and c.shape == (g, m, n) and all(
+        v.strides[2] == e and v.strides[1] >= v.shape[2] * e
+        and not v.strides[1] % e for v in (a, b, c))
+    if gemm is None or m == 1 or n == 1 or not fits:
+        if accumulate:
+            c += np.matmul(a, b)
+        else:
+            np.matmul(a, b, out=c)
+        return
+    lda, ldb, ldc = (v.strides[1] // e for v in (a, b, c))
+    pa, pb, pc = a.ctypes.data, b.ctypes.data, c.ctypes.data
+    for i in range(g):
+        gemm(101, 111, 111, m, n, k, 1.0, pa + i * a.strides[0], lda,
+             pb + i * b.strides[0], ldb, float(accumulate),
+             pc + i * c.strides[0], ldc)
+
+
 def _corr(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
           groups: int) -> np.ndarray:
     """Grouped strided cross-correlation, NCHW x [oc, ic/g, kh, kw].
 
     GEMMs over a flat channels-first buffer of the padded input, one block
     of whole rows at a time (at least one row) so the accumulator stays in
-    cache, each block copied straight into the output.  With
-    ``ci/g <= co/g`` one GEMM per block reads a block-sized stacked buffer
-    of every tap's shifted slice; otherwise each tap's product is added in
-    (tap accumulation).  Depthwise groups (one input channel each) use a
-    broadcast multiply in place of the matmul.  Spans of whole blocks run
-    on the workers (``parallel.over_blocks``), each with its own scratch
-    and at most as many as keep it within ``parallel.SCRATCH``; depthwise
-    blocks run on one.  No block's size depends on the worker count, so
-    the output is bitwise at any worker count.
+    cache, each block copied straight into the output.  Each tap's GEMM
+    reads its shifted view of the buffer in place and accumulates into the
+    block (:func:`_gemm`, beta 0 on the first tap and 1 after), the
+    kn2row-accumulate scheme (Anderson et al., arXiv:1709.03395).  Thin
+    inputs (``1 < ci/g < _THIN`` and ``ci/g <= co/g``, :func:`_stacking`)
+    instead copy every tap's shifted slice into a block-sized stacked
+    buffer for one GEMM per block.  Depthwise groups (one input channel
+    each) use a broadcast multiply added through a temporary.  Spans of
+    whole blocks run on the workers (``parallel.over_blocks``), each with
+    its own scratch and at most as many as keep it within
+    ``parallel.SCRATCH``; depthwise blocks run on one.  No block's size
+    depends on the worker count, so the output is bitwise at any worker
+    count.
     """
     n, ci, h, wd = x.shape
     co, cig, kh, kw = w.shape
@@ -481,18 +551,18 @@ def _corr(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
         _pointwise(x, w.reshape(co, ci), out)
         return out
     flat = _phases(x, s, padding, hq, wq).reshape(s, s, g, cig, -1)
-    stacked, block = _stacking(cig, co // g, kh * kw, g)
+    stacked, block = _stacking(cig, co // g, kh * kw, g, _THIN)
     # [g, co/g, ci/g, taps] -> [1, g, co/g, taps*ci/g] or [taps, g, co/g, ci/g]
     wt = w.reshape(g, co // g, cig, kh * kw)[..., _tap_order(kh, kw, s)]
     wt = wt.transpose(0, 1, 3, 2).reshape(1, g, co // g, -1) if stacked \
         else np.ascontiguousarray(wt.transpose(3, 0, 1, 2))
-    product = np.multiply if cig == 1 else np.matmul
+    added = cig == 1 and len(wt) > 1  # depthwise taps need a temporary
     last = (n - 1) * hq + oh  # padded rows through the last output row
     rows = min(max(1, block // wq), last)
 
     def run(b0, b1):
         acc = np.empty((g, co // g, rows * wq), dtype=dtype)
-        tmp = np.empty_like(acc) if len(wt) > 1 else None
+        tmp = np.empty_like(acc) if added else None
         col = np.empty((g, stacked, rows * wq), dtype=flat.dtype) \
             if stacked else None
         for r0 in range(b0 * rows, min(b1 * rows, last), rows):
@@ -501,12 +571,14 @@ def _corr(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
             part = acc[:, :, :c1 - c0]
             for k, src in enumerate(
                     _operands(flat, col, kh, kw, s, wq, c0, c1)):
-                if k == 0:
-                    product(wt[k], src, out=part)
-                else:
+                if cig > 1:
+                    _gemm(wt[k], src, part, k > 0)
+                elif k:
                     prod = tmp[:, :, :c1 - c0]
-                    product(wt[k], src, out=prod)
+                    np.multiply(wt[k], src, out=prod)
                     part += prod
+                else:
+                    np.multiply(wt[k], src, out=part)
             done = acc.reshape(co, rows, wq)
             for m in range(r0 // hq, (r1 - 1) // hq + 1):
                 a, b = max(r0, m * hq), min(r1, m * hq + oh)
@@ -515,7 +587,7 @@ def _corr(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
                         done[:, a - r0:b - r0, :ow]
 
     # depthwise blocks are broadcast multiplies that hold the GIL
-    scratch = g * (co // g * (1 + (len(wt) > 1)) + stacked) * rows * wq
+    scratch = g * (co // g * (1 + added) + stacked) * rows * wq
     parallel.over_blocks(-(-last // rows), run, 1 if cig == 1 else
                          parallel.SCRATCH // (scratch * dtype.itemsize))
     return out

@@ -138,13 +138,15 @@ def run_sequence(model, frames: Iterable[FrameBuffer],
 
 @dataclass(frozen=True)
 class RuntimeSample:
-    """Per-repetition forward seconds plus summary statistics, and the
-    worker count the forward's conv spans ran on."""
+    """Per-repetition forward seconds plus summary statistics, the worker
+    count the forward's conv spans ran on, and the thread count of numpy's
+    bundled OpenBLAS (None where it cannot be read)."""
 
     seconds: tuple[float, ...]
     lr_hw: tuple[int, int]
     out_hw: tuple[int, int]
     workers: int = 1
+    blas_threads: int | None = None
 
     @property
     def median(self) -> float:
@@ -189,7 +191,7 @@ def measure_runtime(model, frame, warmup: int = 5, reps: int = 30,
         out_hw = out.shape[2:]
         seconds.append(t1 - t0)
     return RuntimeSample(tuple(seconds), (h, w), tuple(out_hw),
-                         parallel.workers())
+                         parallel.workers(), parallel.blas_threads())
 
 
 # -- metric evaluation -------------------------------------------------------

@@ -32,7 +32,8 @@ It is made at import, not when the pool starts, so that products run
 before the first multi-span call sum as every later one does, whatever the
 call history.  Hosts with more CPUs than a loop's spans (``SCRATCH`` caps
 most conv loops at about two) are not measured; BLAS threads used to fill
-the rest.
+the rest.  The library is opened once: its handle (``BLAS``) also serves
+the conv core's GEMM and ``blas_threads``.
 """
 from __future__ import annotations
 
@@ -45,20 +46,35 @@ import threading
 import numpy as np
 
 
-def _pin_blas(lib: str) -> None:
+def _pin_blas(lib: str) -> ctypes.CDLL | None:
     """Set the scipy-openblas64 library that ``lib`` links to one thread;
-    where ``lib`` or that library's setter is missing, change nothing."""
+    where ``lib`` or that library's setter is missing, change nothing.
+    Returns the handle of ``lib``, or None where it cannot be loaded."""
     try:
-        setter = ctypes.CDLL(lib).scipy_openblas_set_num_threads64_
-    except (OSError, AttributeError):
-        return
-    setter.argtypes, setter.restype = [ctypes.c_int], None
-    setter(1)
+        handle = ctypes.CDLL(lib)
+    except OSError:
+        return None
+    setter = getattr(handle, "scipy_openblas_set_num_threads64_", None)
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+    return handle
 
 
 # numpy's linear algebra extension links the OpenBLAS that numpy bundles,
-# in numpy 1.x and 2.x alike
-_pin_blas(np.linalg._umath_linalg.__file__)
+# in numpy 1.x and 2.x alike; the engine's GEMM binds through this handle
+BLAS = _pin_blas(np.linalg._umath_linalg.__file__)
+
+
+def blas_threads() -> int | None:
+    """Threads of numpy's bundled OpenBLAS, or None where its getter is
+    missing."""
+    getter = getattr(BLAS, "scipy_openblas_get_num_threads64_", None)
+    if getter is None:
+        return None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter()
+
 
 # Bytes of block scratch that the spans of one blocked loop share (2 MiB):
 # two spans of a cache-sized block each.

@@ -7,9 +7,9 @@ formulations they replaced: every window is copied into a
 ``sliding_window_view`` column buffer, processed in row bands of at most
 ``COL_BUDGET`` elements, and transposed convolutions zero-dilate and flip.
 Different summation order, same maths; the parity suite compares the two.
-``corr2d_wgrad_per_tap`` is the exception: the weight gradient's earlier
-per-tap form, which the engine's unstacked weight gradients equal bit for
-bit.
+``corr2d_per_tap`` and ``corr2d_wgrad_per_tap`` are the exceptions: the
+correlation's and the weight gradient's earlier per-tap forms, which the
+engine equals bit for bit where a group has more inputs than outputs.
 """
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -65,6 +65,58 @@ def corr2d_wgrad(x: np.ndarray, gout: np.ndarray, kh: int, kw: int,
     return np.ascontiguousarray(wg.reshape(co, cig, kh, kw))
 
 
+def _phase_buffer(x: np.ndarray, s: int, p: int, hq: int, wq: int,
+                  groups: int) -> np.ndarray:
+    """Padded ``x`` split into stride phases [s, s, g, ci/g, n*hq*wq]: tap
+    (i, j) reads phase (i % s, j % s) at flat offset (i // s) * wq + j // s.
+    """
+    n, ci = x.shape[:2]
+    canvas = np.zeros((n, ci, hq * s, wq * s), dtype=x.dtype)
+    crop = x[:, :, :hq * s - p, :wq * s - p]
+    canvas[:, :, p:p + crop.shape[2], p:p + crop.shape[3]] = crop
+    return np.ascontiguousarray(
+        canvas.reshape(n, ci, hq, s, wq, s).transpose(3, 5, 1, 0, 2, 4)
+    ).reshape(s, s, groups, ci // groups, -1)
+
+
+def corr2d_per_tap(x: np.ndarray, w: np.ndarray, stride: int, padding: int,
+                   groups: int, block: int) -> np.ndarray:
+    """Correlation as one matmul per tap into a temporary, added into the
+    accumulator, over blocks of whole padded rows of at most ``block``
+    columns (at least one row).
+
+    The taps run stride phase by stride phase, the first one's product
+    taking the block's place.  Each block's product sees the columns the
+    engine's block sees, so the sums are the same to the bit.
+    """
+    n, ci, h, wd = x.shape
+    co, cig, kh, kw = w.shape
+    s, p, g = stride, padding, groups
+    oh = (h + 2 * p - kh) // s + 1
+    ow = (wd + 2 * p - kw) // s + 1
+    hq, wq = oh + -(-kh // s) - 1, ow + -(-kw // s) - 1
+    flat = _phase_buffer(x, s, p, hq, wq, g)
+    wg = w.reshape(g, co // g, cig, kh, kw)
+    acc = np.zeros((g, co // g, n * hq * wq), dtype=np.result_type(x, w))
+    last = (n - 1) * hq + oh
+    rows = min(max(1, block // wq), last)
+    taps = [(i, j) for a in range(min(s, kh)) for b in range(min(s, kw))
+            for i in range(a, kh, s) for j in range(b, kw, s)]
+    for r0 in range(0, last, rows):
+        c0, c1 = r0 * wq, (min(r0 + rows, last) - 1) * wq + ow
+        part = acc[:, :, c0:c1]
+        for t, (i, j) in enumerate(taps):
+            off = i // s * wq + j // s
+            src = flat[i % s, j % s, :, :, c0 + off:c1 + off]
+            prod = np.matmul(np.ascontiguousarray(wg[..., i, j]), src)
+            if t:
+                part += prod
+            else:
+                part[...] = prod
+    return np.ascontiguousarray(acc.reshape(co, n, hq, wq)[
+        :, :, :oh, :ow].transpose(1, 0, 2, 3))
+
+
 def corr2d_wgrad_per_tap(x: np.ndarray, gout: np.ndarray, kh: int, kw: int,
                          stride: int, padding: int,
                          groups: int) -> np.ndarray:
@@ -82,12 +134,7 @@ def corr2d_wgrad_per_tap(x: np.ndarray, gout: np.ndarray, kh: int, kw: int,
     s, p, g = stride, padding, groups
     cig = ci // g
     hq, wq = oh + -(-kh // s) - 1, ow + -(-kw // s) - 1
-    canvas = np.zeros((n, ci, hq * s, wq * s), dtype=x.dtype)
-    crop = x[:, :, :hq * s - p, :wq * s - p]
-    canvas[:, :, p:p + crop.shape[2], p:p + crop.shape[3]] = crop
-    flat = np.ascontiguousarray(
-        canvas.reshape(n, ci, hq, s, wq, s).transpose(3, 5, 1, 0, 2, 4)
-    ).reshape(s, s, g, cig, -1)
+    flat = _phase_buffer(x, s, p, hq, wq, g)
     gz = np.zeros((co, n, hq, wq), dtype=gout.dtype)
     gz[:, :, :oh, :ow] = gout.transpose(1, 0, 2, 3)
     length = (n - 1) * hq * wq + (oh - 1) * wq + ow

@@ -89,6 +89,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             bdrate.bd_rate(low, high)
 
+    def test_rate_ratio_overflow_rejected(self):
+        qualities = (30, 32, 34, 36)
+        tiny = bdrate.curve(zip((1e-300, 2e-300, 3e-300, 4e-300), qualities))
+        huge = bdrate.curve(zip((1e300, 2e300, 3e300, 4e300), qualities))
+        with pytest.raises(ValueError, match="overflow"):
+            bdrate.bd_rate(tiny, huge)
+        # the other way round the ratio underflows to a -100% change
+        assert bdrate.bd_rate(huge, tiny) == -100.0
+
 
 class TestCsv:
     def test_parse_roundtrip(self):

@@ -175,6 +175,18 @@ class TestBdrate:
         assert code == 0
         assert out.strip() == "+0.0000 dB"
 
+    def test_rate_overflow_is_validation_error(self, capsys, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for path, rate in ((a, "e-300"), (b, "e300")):
+            path.write_text("bitrate,quality\n" + "".join(
+                f"{i}{rate},{q}\n" for i, q in zip((1, 2, 3, 4),
+                                                   (30, 32, 34, 36))))
+        code, out, err = run_cli(capsys, "bdrate", "--anchor", str(a),
+                                 "--test", str(b))
+        assert code == 2
+        assert out == ""
+        assert "overflow" in err
+
     def test_bad_curve_is_validation_error(self, capsys, tmp_path):
         a = tmp_path / "a.csv"
         a.write_text("bitrate,quality\n1,30\n2,33\n")

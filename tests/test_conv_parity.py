@@ -96,6 +96,12 @@ class TestConvParity:
     @example(c=case(ci=4, co=6, k=3, s=1, p=1, h=7, w=5, g=2))
     # stacked at stride 2, one strided copy per stride phase
     @example(c=case(ci=2, co=5, k=5, s=2, p=2, h=9, w=11))
+    # 8 <= ci/g <= co/g: one GEMM per tap accumulating in place, where
+    # the strategy's ci/g <= 3 never reaches
+    @example(c=case(ci=8, co=8, k=3, s=1, p=1, h=9, w=10))
+    @example(c=case(ci=12, co=36, k=3, s=2, p=1, h=11, w=9))
+    @example(c=case(ci=16, co=16, k=5, s=1, p=2, h=9, w=8, g=2))
+    @example(c=case(ci=16, co=16, k=3, s=1, p=1, h=8, w=9, dtype=np.float64))
     def test_conv2d(self, c):
         k, s, p, g = c["k"], c["s"], c["p"], c["g"]
         x, w = inputs(c, (c["co"], c["ci"] // g, k, k))
@@ -118,6 +124,9 @@ class TestConvParity:
     # fsrcnn's x2 tail: its input and weight gradients stack 81 taps of a
     # 3-channel side
     @example(c=case(ci=56, co=3, k=9, s=2, p=4, op=1, h=5, w=6))
+    # a 16-channel side: the sub-pixel forward (16 -> 4*8) and the input
+    # gradient (8 -> 16) each run one GEMM per tap in place
+    @example(c=case(ci=16, co=8, k=4, s=2, p=1, op=0, h=6, w=5))
     def test_conv_transpose2d(self, c):
         k, s, p, op = c["k"], c["s"], c["p"], c["op"]
         x, w = inputs(c, (c["ci"], c["co"], k, k))

@@ -325,7 +325,8 @@ class TestConv:
         """A thin-input conv stacks its taps one column block at a time: the
         traced peak stays under the output, the padded input and a few
         blocks, where a full im2col buffer alone would take 39 MB.  Five
-        workers run no more spans than share those few blocks."""
+        workers run no more spans than share those few blocks.  A wider
+        input keeps no stacked operand and no per-tap temporary."""
         x = rnd(1, 3, 270, 480, seed=20, dtype=np.float32)
         w = rnd(56, 3, 5, 5, seed=21, dtype=np.float32)
         for count in (1, 5):
@@ -338,6 +339,24 @@ class TestConv:
                 tracemalloc.stop()
             padded = 3 * 274 * 484 * x.itemsize
             assert peak < out.nbytes + padded + 4 * ops._BLOCK * x.itemsize
+        # A 36 -> 72 conv runs one GEMM per tap into its block's accumulator
+        # alone, no stacked operand and no per-tap temporary: one span holds
+        # one block, and five share parallel.SCRATCH.
+        x = rnd(1, 36, 64, 480, seed=24, dtype=np.float32)
+        w = rnd(72, 36, 3, 3, seed=25, dtype=np.float32)
+        assert not ops._stacking(36, 72, 9, 1, ops._THIN)[0]
+        for count in (1, 5):
+            monkeypatch.setattr(parallel, "workers", lambda: count)
+            tracemalloc.start()
+            try:
+                out = ops._corr(x, w, 1, 1, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            padded = 36 * 66 * 482 * x.itemsize
+            blocks = ops._BLOCK * x.itemsize if count == 1 \
+                else parallel.SCRATCH
+            assert peak < out.nbytes + padded + blocks + w.nbytes + (64 << 10)
         # On a plane smaller than a block the buffers hold only the rows the
         # input has: two of them stay under the input's whole im2col.
         for xs, ws, groups in (((8, 9, 4, 4), (9, 1, 3, 3), 9),

@@ -2,10 +2,11 @@
 pool themselves, the SSIM map, the polyphase upscale, the 4:2:0 colour
 conversions and the float32 GELU bit for bit against their oracles, and
 the conv core with its weight gradient bit for bit against one worker
-(and an unstacked weight gradient against one product per tap), on blocks
-that do not depend on the worker count and within their memory budgets,
-at any worker count; and the OpenBLAS pin that leaves the spans the only
-threads that share out work."""
+(and an unstacked weight gradient against one product per tap, a
+correlation with ci/g > co/g against the per-tap loop with a temporary),
+on blocks that do not depend on the worker count and within their memory
+budgets, at any worker count; and the OpenBLAS pin that leaves the spans
+the only threads that share out work, as a timing's sample records."""
 import ctypes
 import ctypes.util
 import os
@@ -316,6 +317,33 @@ class TestConvAtAnyWorkerCount:
         assert got.shape == want.shape == ws
         np.testing.assert_array_equal(got.view(np.int32), want.view(np.int32))
 
+    @pytest.mark.parametrize("count, cblas", [(1, True), (3, True),
+                                              (3, False)],
+                             ids=["1 worker", "3 workers", "no cblas"])
+    @pytest.mark.parametrize("xs, ws, s, p, g", [
+        ((2, 72, 17, 30), (36, 72, 3, 3), 1, 1, 1),
+        ((2, 64, 17, 30), (48, 64, 3, 3), 1, 1, 1),
+        ((2, 88, 17, 30), (44, 88, 3, 3), 1, 1, 1),
+        ((2, 72, 17, 30), (36, 72, 3, 3), 2, 1, 1),  # strided
+        ((2, 32, 17, 30), (16, 16, 3, 3), 1, 1, 2),  # ci/g 16 > co/g 8
+        ((2, 144, 17, 30), (2, 72, 3, 3), 1, 1, 2)])  # one-row products
+    def test_wide_input_corr_is_the_per_tap_loop(self, monkeypatch, count,
+                                                 cblas, xs, ws, s, p, g):
+        # with ci/g > co/g each tap's GEMM adds into the block in place,
+        # bit for bit the product through a temporary and an add, and so
+        # does the np.matmul fallback where numpy exports no cblas
+        monkeypatch.setattr(parallel, "workers", lambda: count)
+        monkeypatch.setattr(ops, "_BLOCK", 1 << 13)
+        if not cblas:
+            monkeypatch.setattr(ops, "_GEMMS", ops._bind_gemms(None))
+        rng = np.random.default_rng(sum(xs) + sum(ws))
+        x = rng.standard_normal(xs, dtype=np.float32)
+        w = rng.standard_normal(ws, dtype=np.float32) * 0.1
+        got = ops._corr(x, w, s, p, g)
+        want = conv_oracle.corr2d_per_tap(x, w, s, p, g, ops._BLOCK // ws[0])
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.int32), want.view(np.int32))
+
 
 class TestGeluAtAnyWorkerCount:
     """The float32 GELU's spans take equal shares of the flat array and walk
@@ -601,6 +629,13 @@ class TestBlasPin:
             "from odsr import parallel\n"
             "lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)\n"
             "print(lib.scipy_openblas_get_num_threads64_())") == "1"
+
+    def test_runtime_sample_records_one_blas_thread(self, openblas_threads):
+        assert _two_blas_threads(
+            "import odsr\n"
+            "from odsr import harness\n"
+            "sample = harness.measure_runtime(lambda x: x, (4, 4), reps=3)\n"
+            "print(sample.blas_threads)") == "1"
 
     @pytest.mark.parametrize("lib", ["no-such-library.so",
                                      ctypes.util.find_library("c")],
